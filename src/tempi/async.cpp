@@ -54,16 +54,14 @@ struct AsyncOp {
   PackPipeline pipe;
   vcuda::StreamHandle stream = nullptr;
 
-  /// Pipelined receive only: the per-chunk state machine (Wait/Test drive
-  /// its legs; its chunk leases live inside it until the op retires).
-  std::unique_ptr<ChunkedRecv> chunked;
+  /// Pipelined receive only: the leg machine (Wait/Test drive its legs;
+  /// its chunk leases live inside it until the op retires).
+  std::unique_ptr<LegRecv> legs;
 
   /// Collectives-engine legs: the payload is pre-packed contiguous bytes,
   /// so completion moves wire bytes without pack/unpack kernels (see
-  /// start_isend_packed/start_irecv_packed). Pipelined packed receives
-  /// carry the contiguous mirror of ChunkedRecv.
+  /// start_isend_packed/start_irecv_packed).
   bool packed = false;
-  std::unique_ptr<PackedChunkRecv> packed_chunked;
 
   MPI_Request inner = MPI_REQUEST_NULL; ///< send: the system transfer
   MPI_Status wire_status{};             ///< recv: status of the wire leg
@@ -95,7 +93,7 @@ struct PersistentChannel {
 
   /// Pipelined receive only: rebuilt per arming (the sender's first leg
   /// sizes its chunks, which cannot be frozen at init).
-  std::unique_ptr<ChunkedRecv> chunked;
+  std::unique_ptr<LegRecv> legs;
 
   bool active = false;
   MPI_Request inner = MPI_REQUEST_NULL; ///< send: wire leg of this arming
@@ -274,11 +272,12 @@ void fill_recv_status(const AsyncOp &op, MPI_Status *status) {
   status->count_bytes = static_cast<long long>(op.pipe.bytes);
 }
 
-/// Drain whatever stream work an op may still have enqueued (the chunked
-/// machine owns its own streams) before its buffers return to the cache.
+/// Drain whatever stream work an op may still have enqueued (a packer
+/// leg machine owns its own streams) before its buffers return to the
+/// cache.
 void drain_op_streams(AsyncOp &op) {
-  if (op.chunked) {
-    op.chunked->synchronize();
+  if (op.legs && !op.packed) {
+    op.legs->synchronize();
   } else {
     vcuda::StreamSynchronize(op.stream);
   }
@@ -294,22 +293,25 @@ void retire(std::unique_ptr<AsyncOp> op, MPI_Request *request) {
 /// Blocking wire leg + unpack for a receive op; `sync` controls whether
 /// the stream is synchronized here (Waitall defers it to batch).
 int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
+  if (op.legs) {
+    // Pipelined: drive every remaining wire leg; each leg's unpack is
+    // enqueued without a sync, overlapping the next leg's wire wait
+    // (pre-packed legs land in place).
+    if (const int rc = op.legs->finish(next); rc != MPI_SUCCESS) {
+      return rc;
+    }
+    op.legs->fill_status(&op.wire_status);
+    op.pipe.bytes = op.legs->bytes_received();
+    op.phase = OpPhase::UnpackPending;
+    if (sync) {
+      op.legs->synchronize();
+      op.phase = OpPhase::Complete;
+    }
+    return MPI_SUCCESS;
+  }
   if (op.packed) {
     // Pre-packed destination (collectives-engine leg): the wire bytes land
     // in place, no unpack kernels.
-    if (op.packed_chunked) {
-      int rc = MPI_SUCCESS;
-      while (!op.packed_chunked->done() &&
-             (rc = op.packed_chunked->step(next)) == MPI_SUCCESS) {
-      }
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-      op.packed_chunked->fill_status(&op.wire_status);
-      op.pipe.bytes = op.packed_chunked->bytes_received();
-      op.phase = OpPhase::Complete; // no stream work to drain
-      return MPI_SUCCESS;
-    }
     if (op.method == Method::Staged) {
       int rc;
       {
@@ -348,25 +350,6 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
     }
     op.pipe.bytes = static_cast<std::size_t>(op.wire_status.count_bytes);
     op.phase = OpPhase::Complete; // direct landing: nothing left to drain
-    return MPI_SUCCESS;
-  }
-  if (op.chunked) {
-    // Pipelined: drive every remaining wire leg; each leg's unpack is
-    // enqueued without a sync, overlapping the next leg's wire wait.
-    int rc = MPI_SUCCESS;
-    while (!op.chunked->done() &&
-           (rc = op.chunked->step(next)) == MPI_SUCCESS) {
-    }
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-    op.chunked->fill_status(&op.wire_status);
-    op.pipe.bytes = op.chunked->bytes_received();
-    op.phase = OpPhase::UnpackPending;
-    if (sync) {
-      op.chunked->synchronize();
-      op.phase = OpPhase::Complete;
-    }
     return MPI_SUCCESS;
   }
   int rc;
@@ -433,8 +416,8 @@ void fill_channel_status(const PersistentChannel &ch, MPI_Status *status) {
   }
   *status = ch.wire_status;
   status->count_bytes =
-      ch.chunked ? static_cast<long long>(ch.chunked->bytes_received())
-                 : static_cast<long long>(ch.packer->packed_bytes(ch.count));
+      ch.legs ? static_cast<long long>(ch.legs->bytes_received())
+              : static_cast<long long>(ch.packer->packed_bytes(ch.count));
 }
 
 /// Drive an armed channel's current arming to completion. With
@@ -455,19 +438,16 @@ int complete_channel(PersistentChannel &ch, const interpose::MpiTable &next,
     ch.active = false; // disarm even on error; the arming cannot be retried
     return rc;
   }
-  if (ch.chunked) {
-    int rc = MPI_SUCCESS;
-    while (!ch.chunked->done() &&
-           (rc = ch.chunked->step(next)) == MPI_SUCCESS) {
-    }
+  if (ch.legs) {
+    const int rc = ch.legs->finish(next);
     if (rc != MPI_SUCCESS) {
-      ch.chunked->synchronize();
+      ch.legs->synchronize();
       ch.active = false;
       return rc;
     }
-    ch.chunked->fill_status(&ch.wire_status);
+    ch.legs->fill_status(&ch.wire_status);
     if (sync) {
-      ch.chunked->synchronize();
+      ch.legs->synchronize();
       ch.active = false;
     }
     return MPI_SUCCESS;
@@ -516,8 +496,8 @@ int start_isend(const Packer *packer, Method method, const void *buf,
     // receive before Wait cannot stall its peers) while the pack/wire
     // overlap still happens inside the call. The returned ticket is an
     // already-transferred op; Wait/Test just reclaim it.
-    const int rc = send_pipelined(*packer, buf, count, dest, tag, comm,
-                                  chunk_bytes, next);
+    const int rc = send_legs(PackLegs{*packer, buf, count, chunk_bytes},
+                             dest, tag, comm, next);
     if (rc != MPI_SUCCESS) {
       return rc;
     }
@@ -601,8 +581,8 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
   if (method == Method::Pipelined) {
     // Ordered sub-slice legs, posted eagerly (buffered sends) — the same
     // deadlock discipline as pipelined Isends.
-    const int rc = send_packed_pipelined(bytes, nbytes, dest, tag, comm,
-                                         chunk_bytes, next);
+    const int rc = send_legs(SliceLegs{bytes, nbytes, chunk_bytes}, dest,
+                             tag, comm, next);
     if (rc != MPI_SUCCESS) {
       return rc;
     }
@@ -614,7 +594,7 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
                               nbytes);
       op->pipe.wire = lease_buffer(vcuda::MemorySpace::Pinned, nbytes);
     }
-    if (op->pipe.wire.get() == nullptr && nbytes > 0) {
+    if (lease_failed(op->pipe.wire, nbytes)) {
       return MPI_ERR_OTHER;
     }
     {
@@ -673,7 +653,7 @@ int start_isend_blocklist(std::shared_ptr<const BlockListPacker> packer,
                             op->pipe.bytes);
     op->pipe.wire = lease_buffer(vcuda::MemorySpace::Device, op->pipe.bytes);
   }
-  if (op->pipe.wire.get() == nullptr && op->pipe.bytes > 0) {
+  if (lease_failed(op->pipe.wire, op->pipe.bytes)) {
     return MPI_ERR_OTHER;
   }
   {
@@ -732,13 +712,12 @@ int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
   op->packed = true;
   op->pipe.bytes = nbytes;
   if (method == Method::Pipelined) {
-    op->packed_chunked =
-        std::make_unique<PackedChunkRecv>(bytes, nbytes, source, tag, comm);
+    op->legs = std::make_unique<LegRecv>(bytes, nbytes, source, tag, comm);
   } else if (method == Method::Staged) {
     // A failed lease must not enter the pool (Wait would receive into a
     // null buffer).
     op->pipe.wire = lease_buffer(vcuda::MemorySpace::Pinned, nbytes);
-    if (op->pipe.wire.get() == nullptr && nbytes > 0) {
+    if (lease_failed(op->pipe.wire, nbytes)) {
       return MPI_ERR_OTHER;
     }
   }
@@ -756,8 +735,8 @@ int start_irecv(const Packer *packer, Method method, void *buf, int count,
   if (method == Method::Pipelined) {
     // Chunk leases happen lazily inside the machine (the first leg sizes
     // them); Wait/Test drive the legs.
-    op->chunked =
-        std::make_unique<ChunkedRecv>(*packer, buf, count, source, tag, comm);
+    op->legs =
+        std::make_unique<LegRecv>(*packer, buf, count, source, tag, comm);
     pool().irecvs.add();
     *request = insert(std::move(op));
     return MPI_SUCCESS;
@@ -785,7 +764,7 @@ int start_irecv_blocklist(std::shared_ptr<const BlockListPacker> packer,
     return MPI_ERR_COUNT;
   }
   op->pipe.wire = lease_buffer(vcuda::MemorySpace::Device, op->pipe.bytes);
-  if (op->pipe.wire.get() == nullptr && op->pipe.bytes > 0) {
+  if (lease_failed(op->pipe.wire, op->pipe.bytes)) {
     return MPI_ERR_OTHER;
   }
   pool().irecvs.add();
@@ -796,6 +775,49 @@ int start_irecv_blocklist(std::shared_ptr<const BlockListPacker> packer,
 namespace {
 
 std::atomic<RechooseFn> g_rechoose{nullptr};
+
+/// Record a channel's program for its frozen method: per-leg pack graphs
+/// for a pipelined send, one graph otherwise. A pipelined receive records
+/// nothing — a LegRecv re-arms per Start, since the sender's first leg
+/// sizes the chunks.
+int record_channel(PersistentChannel &ch) {
+  if (ch.method != Method::Pipelined) {
+    return ch.is_send ? record_persistent_send(*ch.packer, ch.method,
+                                               ch.send_buf, ch.count, &ch.prog)
+                      : record_persistent_recv(*ch.packer, ch.method,
+                                               ch.recv_buf, ch.count,
+                                               &ch.prog);
+  }
+  if (!ch.is_send) {
+    return MPI_SUCCESS;
+  }
+  ch.pipeprog = std::make_unique<PipelinedSendProgram>();
+  const int rc = record_pipelined_send(*ch.packer, ch.send_buf, ch.count,
+                                       ch.chunk_bytes, ch.pipeprog.get());
+  for (vcuda::GraphHandle g : ch.pipeprog->leg_graphs) {
+    ch.leg_graph_count += g != nullptr ? 1 : 0;
+  }
+  return rc;
+}
+
+/// Freeze a freshly filled channel: record its program and publish its
+/// ticket. On failure the half-built channel releases its leases and
+/// graphs here.
+int open_channel(std::unique_ptr<PersistentChannel> ch,
+                 MPI_Request *request) {
+  ch->frozen_gen = tune::refresh_generation();
+  if (const int rc = record_channel(*ch); rc != MPI_SUCCESS) {
+    return rc;
+  }
+  Pool &p = pool();
+  p.p_inits.add();
+  const MPI_Request ticket = reinterpret_cast<MPI_Request>(ch.get());
+  PoolShard &s = shard_for(p, ticket);
+  const std::lock_guard<support::ContendedMutex> lock(s.mutex);
+  s.channels.emplace(ticket, std::move(ch));
+  *request = ticket;
+  return MPI_SUCCESS;
+}
 
 /// Lazy re-freeze (tentpole (c)): when a tuned model landed since this
 /// channel froze, re-run the exhaustive search once and re-record the
@@ -826,28 +848,11 @@ int maybe_refreeze(PersistentChannel &ch) {
   // pinned leases) and record a fresh one in place.
   ch.prog.clear();
   ch.pipeprog.reset();
+  ch.legs.reset();
   ch.leg_graph_count = 0;
   ch.method = choice->method;
   ch.chunk_bytes = choice->chunk_bytes;
-  int rc = MPI_SUCCESS;
-  if (ch.is_send) {
-    if (choice->method == Method::Pipelined) {
-      ch.pipeprog = std::make_unique<PipelinedSendProgram>();
-      rc = record_pipelined_send(*ch.packer, ch.send_buf, ch.count,
-                                 choice->chunk_bytes, ch.pipeprog.get());
-      if (rc == MPI_SUCCESS) {
-        for (vcuda::GraphHandle g : ch.pipeprog->leg_graphs) {
-          ch.leg_graph_count += g != nullptr ? 1 : 0;
-        }
-      }
-    } else {
-      rc = record_persistent_send(*ch.packer, choice->method, ch.send_buf,
-                                  ch.count, &ch.prog);
-    }
-  } else if (choice->method != Method::Pipelined) {
-    rc = record_persistent_recv(*ch.packer, choice->method, ch.recv_buf,
-                                ch.count, &ch.prog);
-  } // a Pipelined receive records nothing: ChunkedRecv re-arms per Start
+  const int rc = record_channel(ch);
   tune::note_refreeze();
   return rc;
 }
@@ -871,30 +876,7 @@ int send_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
   ch->tag = tag;
   ch->comm = comm;
   ch->chunk_bytes = choice.chunk_bytes;
-  ch->frozen_gen = tune::refresh_generation();
-  int rc = MPI_SUCCESS;
-  if (choice.method == Method::Pipelined) {
-    ch->pipeprog = std::make_unique<PipelinedSendProgram>();
-    rc = record_pipelined_send(*ch->packer, buf, count, choice.chunk_bytes,
-                               ch->pipeprog.get());
-    for (vcuda::GraphHandle g : ch->pipeprog->leg_graphs) {
-      ch->leg_graph_count += g != nullptr ? 1 : 0;
-    }
-  } else {
-    rc = record_persistent_send(*ch->packer, choice.method, buf, count,
-                                &ch->prog);
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc; // the half-built channel releases its leases/graphs here
-  }
-  Pool &p = pool();
-  p.p_inits.add();
-  const MPI_Request ticket = reinterpret_cast<MPI_Request>(ch.get());
-  PoolShard &s = shard_for(p, ticket);
-  const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-  s.channels.emplace(ticket, std::move(ch));
-  *request = ticket;
-  return MPI_SUCCESS;
+  return open_channel(std::move(ch), request);
 }
 
 int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
@@ -910,22 +892,7 @@ int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
   ch->tag = tag;
   ch->comm = comm;
   ch->chunk_bytes = choice.chunk_bytes;
-  ch->frozen_gen = tune::refresh_generation();
-  if (choice.method != Method::Pipelined) {
-    const int rc = record_persistent_recv(*ch->packer, choice.method, buf,
-                                          count, &ch->prog);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-  }
-  Pool &p = pool();
-  p.p_inits.add();
-  const MPI_Request ticket = reinterpret_cast<MPI_Request>(ch.get());
-  PoolShard &s = shard_for(p, ticket);
-  const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-  s.channels.emplace(ticket, std::move(ch));
-  *request = ticket;
-  return MPI_SUCCESS;
+  return open_channel(std::move(ch), request);
 }
 
 int start(MPI_Request *request, const interpose::MpiTable &next) {
@@ -943,18 +910,19 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
   p.p_starts.add();
   if (!ch->is_send) {
     if (ch->method == Method::Pipelined) {
-      ch->chunked = std::make_unique<ChunkedRecv>(
-          *ch->packer, ch->recv_buf, ch->count, ch->peer, ch->tag, ch->comm);
+      ch->legs = std::make_unique<LegRecv>(*ch->packer, ch->recv_buf,
+                                           ch->count, ch->peer, ch->tag,
+                                           ch->comm);
     }
     ch->active = true; // the wire is matched lazily at Wait/Test
     return MPI_SUCCESS;
   }
   if (ch->method == Method::Pipelined) {
-    // Per-leg graph replays, same framing and overlap as send_pipelined;
-    // every leg is a buffered send, so the eager-post deadlock discipline
-    // holds.
-    const int rc = replay_pipelined_send(*ch->pipeprog, ch->peer, ch->tag,
-                                         ch->comm, next);
+    // Per-leg graph replays through the one leg sender (same framing and
+    // overlap as a live pipelined send); every leg is a buffered send, so
+    // the eager-post deadlock discipline holds.
+    const int rc = send_legs(ReplayLegs{*ch->pipeprog}, ch->peer, ch->tag,
+                             ch->comm, next);
     if (rc != MPI_SUCCESS) {
       return rc;
     }
@@ -1066,9 +1034,7 @@ int request_free(MPI_Request *request, const interpose::MpiTable &next) {
     int rc = MPI_SUCCESS;
     if (op->kind == AsyncOp::Kind::Send) {
       rc = complete_send(*op, next);
-    } else if ((op->chunked && op->chunked->bytes_received() > 0) ||
-               (op->packed_chunked &&
-                op->packed_chunked->bytes_received() > 0)) {
+    } else if (op->legs && op->legs->bytes_received() > 0) {
       rc = complete_recv(*op, next, /*sync=*/true);
     }
     drain_op_streams(*op);
@@ -1105,7 +1071,7 @@ int request_free(MPI_Request *request, const interpose::MpiTable &next) {
       if (rc != MPI_SUCCESS) {
         return rc;
       }
-    } else if (ch->chunked && ch->chunked->bytes_received() > 0) {
+    } else if (ch->legs && ch->legs->bytes_received() > 0) {
       // Mid-message pipelined receive: finish it (cannot block, see above).
       const int rc = complete_channel(*ch, next, /*sync=*/true);
       if (rc != MPI_SUCCESS) {
@@ -1219,19 +1185,16 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
       *flag = 1;
       return wait(request, status, next);
     }
-    if (ch->chunked) {
+    if (ch->legs) {
       // Pipelined persistent receive: consume arrived legs incrementally,
       // exactly like a pipelined Irecv.
-      while (!ch->chunked->done() && ch->chunked->ready(next)) {
-        const int rc = ch->chunked->step(next);
-        if (rc != MPI_SUCCESS) {
-          ch->chunked->synchronize();
-          ch->active = false;
-          *flag = 1; // completed, though with an error
-          return rc;
-        }
+      if (const int rc = ch->legs->poll(next); rc != MPI_SUCCESS) {
+        ch->legs->synchronize();
+        ch->active = false;
+        *flag = 1; // completed, though with an error
+        return rc;
       }
-      if (!ch->chunked->done()) {
+      if (!ch->legs->done()) {
         vcuda::this_thread_timeline().advance(kPollSweepNs);
         *flag = 0;
         return MPI_SUCCESS;
@@ -1263,41 +1226,19 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
     *flag = 1;
     return wait(request, status, next);
   }
-  if (op->chunked) {
+  if (op->legs) {
     // Pipelined: consume every leg that has already arrived (each step
-    // enqueues its unpack, overlapping later legs' wire time), and only
-    // report completion once the terminating short leg is in.
-    while (!op->chunked->done() && op->chunked->ready(next)) {
-      const int rc = op->chunked->step(next);
-      if (rc != MPI_SUCCESS) {
-        op->chunked->synchronize();
-        std::unique_ptr<AsyncOp> owned = extract(*request);
-        retire(std::move(owned), request);
-        *flag = 1; // completed, though with an error
-        return rc;
-      }
+    // enqueues its unpack, overlapping later legs' wire time; pre-packed
+    // legs land in place), and only report completion once the
+    // terminating short leg is in.
+    if (const int rc = op->legs->poll(next); rc != MPI_SUCCESS) {
+      op->legs->synchronize();
+      std::unique_ptr<AsyncOp> owned = extract(*request);
+      retire(std::move(owned), request);
+      *flag = 1; // completed, though with an error
+      return rc;
     }
-    if (!op->chunked->done()) {
-      vcuda::this_thread_timeline().advance(kPollSweepNs);
-      *flag = 0;
-      return MPI_SUCCESS;
-    }
-    *flag = 1;
-    return wait(request, status, next); // complete_recv finishes instantly
-  }
-  if (op->packed_chunked) {
-    // Pre-packed pipelined receive: same incremental progress, with legs
-    // landing straight in the destination slice (no stream work to drain).
-    while (!op->packed_chunked->done() && op->packed_chunked->ready(next)) {
-      const int rc = op->packed_chunked->step(next);
-      if (rc != MPI_SUCCESS) {
-        std::unique_ptr<AsyncOp> owned = extract(*request);
-        retire(std::move(owned), request);
-        *flag = 1; // completed, though with an error
-        return rc;
-      }
-    }
-    if (!op->packed_chunked->done()) {
+    if (!op->legs->done()) {
       vcuda::this_thread_timeline().advance(kPollSweepNs);
       *flag = 0;
       return MPI_SUCCESS;
@@ -1436,8 +1377,8 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
         // A receive whose unpack replay is still on its stream: fence and
         // publish in passes 2/3, batched with everything else.
         ++unpacks_batched;
-        if (ch->chunked) {
-          ch->chunked->append_streams(fence_streams);
+        if (ch->legs) {
+          ch->legs->append_streams(fence_streams);
         } else {
           note_stream(fence_streams, ch->prog.stream);
         }
@@ -1461,16 +1402,10 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     } else {
       rc = complete_recv(*op, next, /*sync=*/false);
       ++unpacks_batched;
-      if (op->chunked) {
-        op->chunked->append_streams(streams);
+      if (op->legs && !op->packed) {
+        op->legs->append_streams(streams);
       } else {
-        bool seen = false;
-        for (vcuda::StreamHandle s : streams) {
-          seen = seen || s == op->stream;
-        }
-        if (!seen) {
-          streams.push_back(op->stream);
-        }
+        note_stream(streams, op->stream);
       }
     }
     if (rc != MPI_SUCCESS) {

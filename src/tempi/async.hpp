@@ -79,7 +79,7 @@ int start_isend(const Packer *packer, Method method, const void *buf,
                 std::size_t chunk_bytes = 0);
 
 /// Start an accelerated non-blocking receive (wire matched at Wait/Test).
-/// For Method::Pipelined the op carries a ChunkedRecv state machine:
+/// For Method::Pipelined the op carries a LegRecv state machine:
 /// Wait drives every remaining wire leg to completion, while Test makes
 /// progress one arrived leg at a time (chunk unpacks overlap later legs'
 /// wire time) and only reports completion once the terminating short leg
@@ -106,8 +106,8 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
 /// Receive-side mirror: the wire is matched lazily at Wait/Test.
 /// Method::Device lands the leg directly in the slice; Method::Staged
 /// rides a pinned lease plus an H2D copy batched by Waitall's single
-/// sync; Method::Pipelined carries a PackedChunkRecv state machine whose
-/// legs Wait drives to completion and Test consumes as they arrive.
+/// sync; Method::Pipelined carries a packer-less LegRecv whose legs Wait
+/// drives to completion and Test consumes as they arrive.
 int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
                        int source, int tag, MPI_Comm comm,
                        const interpose::MpiTable &next, MPI_Request *request);
@@ -142,13 +142,14 @@ int start_irecv_blocklist(std::shared_ptr<const BlockListPacker> packer,
 
 /// Create a frozen send channel. `choice` comes from
 /// PerfModel::choose_persistent (or the forced mode); Method::Pipelined
-/// records one pack graph per wire leg (see record_pipelined_send).
+/// records one pack graph per wire leg (see record_pipelined_send), which
+/// MPI_Start replays through send_legs.
 int send_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
               const void *buf, int count, int dest, int tag, MPI_Comm comm,
               const interpose::MpiTable &next, MPI_Request *request);
 
 /// Create a frozen receive channel. A Pipelined choice (only selected
-/// above the wire-chunk limit) re-arms a ChunkedRecv per Start instead of
+/// above the wire-chunk limit) re-arms a LegRecv per Start instead of
 /// replaying a graph: its leg sizes follow the sender's first leg, which
 /// cannot be frozen at init time.
 int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,

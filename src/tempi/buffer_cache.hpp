@@ -55,6 +55,13 @@ private:
 /// the calling thread's cache, allocating through vcuda on a miss.
 CachedBuffer lease_buffer(vcuda::MemorySpace space, std::size_t bytes);
 
+/// True when a lease for `bytes` came back empty (a zero-byte lease may
+/// legitimately be null). Callers must not hand a failed lease to a
+/// kernel or a wire transfer.
+inline bool lease_failed(const CachedBuffer &buf, std::size_t bytes) {
+  return bytes > 0 && buf.get() == nullptr;
+}
+
 /// Free everything in the calling thread's magazines AND the shared depot
 /// (MPI_Finalize / uninstall). Other threads' magazines are freed by their
 /// own thread-exit destructors; anything they flushed to the depot is

@@ -4,7 +4,6 @@
 
 #include "sysmpi/collectives.hpp"
 #include "sysmpi/types.hpp"
-#include "sysmpi/world.hpp"
 #include "tempi/async.hpp"
 #include "tempi/buffer_cache.hpp"
 #include "tempi/methods.hpp"
@@ -65,16 +64,6 @@ SideMode side_mode(const void *buf, MPI_Datatype dt) {
     return SideMode::Fused;
   }
   return SideMode::Forward;
-}
-
-bool peer_on_my_node(MPI_Comm comm, int peer) {
-  sysmpi::World &world = *comm->world;
-  return world.node_of(comm->world_rank_of(peer)) ==
-         world.node_of(comm->world_rank_of(comm->my_rank));
-}
-
-bool lease_failed(const CachedBuffer &buf, std::size_t bytes) {
-  return bytes > 0 && buf.get() == nullptr;
 }
 
 /// The exchange core every engine collective reduces onto. Sends are
@@ -243,7 +232,7 @@ int exchange(const void *sendbuf, MPI_Datatype sendtype,
     if (self_copy && s.peer == me) {
       continue;
     }
-    const bool same_node = peer_on_my_node(comm, s.peer);
+    const bool same_node = topo::peer_on_my_node(comm, s.peer);
     MPI_Request req = MPI_REQUEST_NULL;
     if (smode == SideMode::Forward) {
       rc = next.Isend(sbase + s.displ * sextent, s.count, sendtype, s.peer,
@@ -299,7 +288,7 @@ int exchange(const void *sendbuf, MPI_Datatype sendtype,
       {
         trace::ScopedSpan choice(trace::Phase::ModelChoice,
                                  trace::OpKind::Coll, bytes, r.peer, tag);
-        c = model.choose_leg(bytes, peer_on_my_node(comm, r.peer));
+        c = model.choose_leg(bytes, topo::peer_on_my_node(comm, r.peer));
         choice.set_method(static_cast<std::int8_t>(c.method));
       }
       rc = async::start_irecv_packed(recv_ptr(i), bytes, c.method, r.peer,

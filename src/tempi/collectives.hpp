@@ -19,7 +19,7 @@
 //      the existing lock-free choice cache under a leg-specific salt.
 //   3. Oversized legs — a per-peer leg above the wire-chunk limit ships
 //      as ordered sub-slice legs under the PR 3 pipelined framing
-//      (send_packed_pipelined / PackedChunkRecv).
+//      (send_legs over SliceLegs / a packer-less LegRecv).
 //   4. Fused unpack — received per-peer legs land in one staging lease and
 //      a single span-table kernel pass scatters them into the user buffer.
 //

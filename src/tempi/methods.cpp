@@ -4,7 +4,6 @@
 #include "tempi/trace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 
 namespace tempi {
@@ -30,16 +29,12 @@ int size_pipeline(const Packer &packer, int count, PackPipeline *pipe) {
   return pipe->bytes > wire_chunk_limit() ? MPI_ERR_COUNT : MPI_SUCCESS;
 }
 
-bool lease_failed(const CachedBuffer &buf, std::size_t bytes) {
-  return bytes > 0 && buf.get() == nullptr;
-}
-
 } // namespace
 
 int start_pack(const Packer &packer, Method m, const void *buf, int count,
                vcuda::StreamHandle stream, PackPipeline *pipe) {
   if (m == Method::Pipelined) {
-    return MPI_ERR_OTHER; // chunked transfers use send_pipelined/ChunkedRecv
+    return MPI_ERR_OTHER; // chunked transfers use send_legs/LegRecv
   }
   if (const int rc = size_pipeline(packer, count, pipe); rc != MPI_SUCCESS) {
     return rc;
@@ -85,7 +80,7 @@ int start_pack(const Packer &packer, Method m, const void *buf, int count,
 
 int start_recv(const Packer &packer, Method m, int count, PackPipeline *pipe) {
   if (m == Method::Pipelined) {
-    return MPI_ERR_OTHER; // chunked transfers use send_pipelined/ChunkedRecv
+    return MPI_ERR_OTHER; // chunked transfers use send_legs/LegRecv
   }
   if (const int rc = size_pipeline(packer, count, pipe); rc != MPI_SUCCESS) {
     return rc;
@@ -129,9 +124,7 @@ int send_with_method(const Packer &packer, Method m, const void *buf,
                      int count, int dest, int tag, MPI_Comm comm,
                      const interpose::MpiTable &next) {
   if (m == Method::Pipelined) {
-    return send_pipelined(packer, buf, count, dest, tag, comm,
-                          fallback_chunk_bytes(packer.packed_bytes(count)),
-                          next);
+    return send_legs(PackLegs{packer, buf, count, 0}, dest, tag, comm, next);
   }
   // Pool streams keep this message's legs off the default stream, so it
   // neither waits for nor delays unrelated work enqueued there.
@@ -173,17 +166,15 @@ int recv_with_method(const Packer &packer, Method m, void *buf, int count,
                      int source, int tag, MPI_Comm comm, MPI_Status *status,
                      const interpose::MpiTable &next) {
   if (m == Method::Pipelined) {
-    ChunkedRecv cr(packer, buf, count, source, tag, comm);
-    int rc = MPI_SUCCESS;
-    while (!cr.done() && (rc = cr.step(next)) == MPI_SUCCESS) {
-    }
+    LegRecv legs(packer, buf, count, source, tag, comm);
+    const int rc = legs.finish(next);
     // Drain the enqueued unpack legs on the error path too, before the
     // chunk leases return to the cache.
-    cr.synchronize();
+    legs.synchronize();
     if (rc != MPI_SUCCESS) {
       return rc;
     }
-    cr.fill_status(status);
+    legs.fill_status(status);
     return MPI_SUCCESS;
   }
   vcuda::StreamHandle stream = vcuda::next_pool_stream();
@@ -230,69 +221,42 @@ int recv_with_method(const Packer &packer, Method m, void *buf, int count,
   return MPI_SUCCESS;
 }
 
+
 // --- the Pipelined (chunked) method ------------------------------------------
-
-namespace {
-
-struct PipelineCounters {
-  trace::Counter sends{"tempi.pipeline.sends"};
-  trace::Counter recvs{"tempi.pipeline.recvs"};
-  trace::Counter chunks{"tempi.pipeline.chunks"};
-  trace::Counter over_ceiling_bytes{"tempi.pipeline.over_ceiling_bytes"};
-};
 
 PipelineCounters &pipeline_counters() {
   static PipelineCounters c;
   return c;
 }
 
-} // namespace
-
-PipelineStats pipeline_stats() {
-  const PipelineCounters &c = pipeline_counters();
-  return PipelineStats{
-      c.sends.value(),
-      c.recvs.value(),
-      c.chunks.value(),
-      c.over_ceiling_bytes.value(),
-  };
-}
-
-void reset_pipeline_stats() {
-  PipelineCounters &c = pipeline_counters();
-  c.sends.reset();
-  c.recvs.reset();
-  c.chunks.reset();
-  c.over_ceiling_bytes.reset();
-}
-
-int plan_pipeline_frame(const Packer &packer, int count,
+int plan_pipeline_frame(std::size_t block_bytes, long long blocks,
                         std::size_t chunk_target, PipelineFrame *frame) {
   const std::size_t limit = wire_chunk_limit();
-  const auto blk = static_cast<std::size_t>(packer.wire_block_bytes());
-  const std::size_t total = packer.packed_bytes(count);
-  const long long total_blocks = packer.total_blocks(count);
-  if (blk == 0 || count <= 0 || total_blocks <= 0) {
-    return MPI_ERR_ARG; // the acceleration gate filters empty payloads
+  if (block_bytes == 0 || blocks < 0) {
+    return MPI_ERR_ARG;
   }
-  if (blk > limit) {
-    // Chunks split at block (dimension-0 row) boundaries; one contiguous
+  if (block_bytes > limit) {
+    // Legs split at block (dimension-0 row) boundaries; one contiguous
     // block beyond the wire limit keeps the historical rejection.
     return MPI_ERR_COUNT;
   }
   if (const std::size_t o = chunk_bytes_override(); o != 0) {
     chunk_target = o; // TEMPI_CHUNK_BYTES is authoritative
   } else if (chunk_target == 0) {
-    chunk_target = fallback_chunk_bytes(total);
+    chunk_target =
+        fallback_chunk_bytes(block_bytes * static_cast<std::size_t>(blocks));
   }
-  // Whole blocks per leg, at least one, never exceeding the wire limit.
-  frame->blocks_per_leg = std::min<long long>(
-      std::max<long long>(
-          static_cast<long long>(std::min(chunk_target, limit) / blk), 1),
-      total_blocks);
-  frame->chunk = static_cast<std::size_t>(frame->blocks_per_leg) * blk;
-  frame->full_legs = total_blocks / frame->blocks_per_leg;
-  frame->rem_blocks = total_blocks % frame->blocks_per_leg;
+  // Whole blocks per leg, at least one, never exceeding the wire limit or
+  // the payload: at least one full leg must precede the strictly-shorter
+  // final leg, or the receiver would take the lone data leg as full and
+  // wait for a terminator forever.
+  frame->block = block_bytes;
+  frame->blocks_per_leg = std::clamp<long long>(
+      static_cast<long long>(std::min(chunk_target, limit) / block_bytes), 1,
+      std::max<long long>(blocks, 1));
+  frame->chunk = static_cast<std::size_t>(frame->blocks_per_leg) * block_bytes;
+  frame->full_legs = blocks / frame->blocks_per_leg;
+  frame->rem_blocks = blocks % frame->blocks_per_leg;
   // Wire protocol: full legs carry exactly `chunk` bytes; the final leg is
   // strictly smaller, so an evenly divided message appends an empty
   // terminator leg. The receiver keys termination off "leg < first leg".
@@ -300,145 +264,376 @@ int plan_pipeline_frame(const Packer &packer, int count,
   return MPI_SUCCESS;
 }
 
-int send_pipelined(const Packer &packer, const void *buf, int count,
-                   int dest, int tag, MPI_Comm comm, std::size_t chunk_target,
-                   const interpose::MpiTable &next) {
-  const auto blk = static_cast<std::size_t>(packer.wire_block_bytes());
-  const std::size_t total = packer.packed_bytes(count);
+namespace {
+
+/// Frame `count` objects of the packer's datatype in its wire blocks, so
+/// even a single count==1 object splits.
+int plan_packer_frame(const Packer &packer, int count,
+                      std::size_t chunk_target, PipelineFrame *frame) {
+  const long long blocks = count > 0 ? packer.total_blocks(count) : 0;
+  if (blocks <= 0) {
+    return MPI_ERR_ARG; // the acceleration gate filters empty payloads
+  }
+  return plan_pipeline_frame(
+      static_cast<std::size_t>(packer.wire_block_bytes()), blocks,
+      chunk_target, frame);
+}
+
+} // namespace
+
+int send_legs(const LegSource &src, int dest, int tag, MPI_Comm comm,
+              const interpose::MpiTable &next) {
+  const auto *pack = std::get_if<PackLegs>(&src);
+  const auto *slice = std::get_if<SliceLegs>(&src);
+  const auto *replay = std::get_if<ReplayLegs>(&src);
   PipelineFrame f;
-  if (const int rc = plan_pipeline_frame(packer, count, chunk_target, &f);
-      rc != MPI_SUCCESS) {
+  int rc = MPI_SUCCESS;
+  if (pack != nullptr) {
+    rc = plan_packer_frame(pack->packer, pack->count, pack->chunk_target, &f);
+  } else if (slice != nullptr) {
+    rc = plan_pipeline_frame(1, static_cast<long long>(slice->total),
+                             slice->chunk_target, &f);
+  } else {
+    f = replay->prog.frame;
+  }
+  if (rc != MPI_SUCCESS) {
     return rc;
   }
-
   PipelineCounters &pc = pipeline_counters();
   pc.sends.add();
-  if (total > wire_chunk_limit()) {
-    pc.over_ceiling_bytes.add(total);
+  if (f.total_bytes() > wire_chunk_limit()) {
+    pc.over_ceiling_bytes.add(f.total_bytes());
   }
 
-  // Two chunk-sized wire leases ping-pong: while leg i rides the wire,
-  // leg i+1 packs into the other buffer on the other stream. The system
-  // MPI copies the payload out before Send returns, so a slot is reusable
-  // as soon as its Send completes.
-  vcuda::StreamHandle stream[2] = {vcuda::next_pool_stream(),
-                                   vcuda::next_pool_stream()};
-  CachedBuffer slot[2];
-  {
-    trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
-                            2 * f.chunk);
-    for (int s = 0; s < 2; ++s) {
-      slot[s] = lease_buffer(vcuda::MemorySpace::Device, f.chunk);
-    }
-  }
-  for (int s = 0; s < 2; ++s) {
-    if (lease_failed(slot[s], f.chunk)) {
-      return MPI_ERR_OTHER;
-    }
-  }
-  // Prologue: pack leg 0 before entering the steady-state loop.
-  int rc = packer.pack_range_async(slot[0].get(), buf, 0, f.leg_blocks(0),
-                                   stream[0]) == vcuda::Error::Success
-               ? MPI_SUCCESS
-               : MPI_ERR_OTHER;
-  for (long long leg = 0; rc == MPI_SUCCESS && leg < f.legs; ++leg) {
-    const int s = static_cast<int>(leg & 1);
+  // Two wire slots ping-pong on two streams: while leg i rides the wire,
+  // leg i+1 becomes ready in the other slot on the other stream. The
+  // system MPI copies the payload out before Send returns, so a slot is
+  // reusable as soon as its Send completes. A slice needs neither.
+  CachedBuffer lease[2];
+  void *slot[2] = {nullptr, nullptr};
+  vcuda::StreamHandle stream[2] = {nullptr, nullptr};
+  if (pack != nullptr) {
+    stream[0] = vcuda::next_pool_stream();
+    stream[1] = vcuda::next_pool_stream();
     {
-      // The wire must not depart before this leg's pack completes. The
-      // measured duration is the *residual* pack time after overlap with
-      // the previous leg's wire — exactly the effective per-chunk pack
-      // cost estimate_pipelined_us should use, so full (chunk-sized) legs
-      // feed the tuner at the chunk's {block, leg bytes} knot.
-      trace::ScopedSpan pack(trace::Phase::PackLaunch, trace::OpKind::Send,
-                             0, dest, tag,
-                             static_cast<std::int8_t>(Method::Pipelined));
-      tune::ScopedObservation obs(
-          tune::Axis::DevicePack, blk,
-          static_cast<std::size_t>(f.leg_blocks(leg)) * blk,
-          leg < f.full_legs); // stay on-knot: full legs only
-      vcuda::StreamSynchronize(stream[s]);
-    }
-    // Enqueue the next leg's pack *before* the blocking send: the stream
-    // runs ahead of the host, so the pack overlaps this leg's wire time.
-    if (leg + 1 < f.legs && f.leg_blocks(leg + 1) > 0) {
-      if (packer.pack_range_async(slot[1 - s].get(), buf,
-                                  (leg + 1) * f.blocks_per_leg,
-                                  f.leg_blocks(leg + 1),
-                                  stream[1 - s]) != vcuda::Error::Success) {
-        rc = MPI_ERR_OTHER;
-        break;
+      trace::ScopedSpan span(trace::Phase::LeaseAcquire, trace::OpKind::None,
+                             2 * f.chunk);
+      for (CachedBuffer &l : lease) {
+        l = lease_buffer(vcuda::MemorySpace::Device, f.chunk);
       }
     }
-    const std::size_t leg_bytes =
-        static_cast<std::size_t>(f.leg_blocks(leg)) * blk;
+    for (int s = 0; s < 2; ++s) {
+      if (lease_failed(lease[s], f.chunk)) {
+        return MPI_ERR_OTHER;
+      }
+      slot[s] = lease[s].get();
+    }
+  } else if (replay != nullptr) {
+    for (int s = 0; s < 2; ++s) {
+      slot[s] = replay->prog.slot[s].get();
+      stream[s] = replay->prog.stream[s];
+    }
+  }
+  // Enqueue leg `leg` into its slot without waiting for it.
+  const auto prepare = [&](long long leg) {
+    const int s = static_cast<int>(leg & 1);
+    if (pack != nullptr) {
+      return f.leg_blocks(leg) == 0 ||
+             pack->packer.pack_range_async(slot[s], pack->buf,
+                                           leg * f.blocks_per_leg,
+                                           f.leg_blocks(leg), stream[s]) ==
+                 vcuda::Error::Success;
+    }
+    if (replay != nullptr) {
+      const vcuda::GraphHandle g =
+          replay->prog.leg_graphs[static_cast<std::size_t>(leg)];
+      return g == nullptr ||
+             vcuda::GraphLaunch(g, stream[s]) == vcuda::Error::Success;
+    }
+    return true; // a slice is wire-ready as it stands
+  };
+  const trace::OpKind kind = pack != nullptr    ? trace::OpKind::Send
+                             : slice != nullptr ? trace::OpKind::Coll
+                                                : trace::OpKind::Persistent;
+  const std::int8_t method =
+      pack != nullptr ? static_cast<std::int8_t>(Method::Pipelined) : -1;
+
+  rc = prepare(0) ? MPI_SUCCESS : MPI_ERR_OTHER;
+  for (long long leg = 0; rc == MPI_SUCCESS && leg < f.legs; ++leg) {
+    const int s = static_cast<int>(leg & 1);
+    const std::size_t leg_bytes = f.leg_bytes(leg);
+    // The wire must not depart before this leg is ready.
+    if (pack != nullptr) {
+      // The measured duration is the *residual* pack time after overlap
+      // with the previous leg's wire — exactly the effective per-chunk
+      // pack cost estimate_pipelined_us should use, so full (chunk-sized)
+      // legs feed the tuner at the chunk's {block, leg bytes} knot.
+      trace::ScopedSpan ready(trace::Phase::PackLaunch, kind, 0, dest, tag,
+                              method);
+      tune::ScopedObservation obs(tune::Axis::DevicePack, f.block, leg_bytes,
+                                  leg < f.full_legs); // on-knot legs only
+      vcuda::StreamSynchronize(stream[s]);
+    } else if (replay != nullptr) {
+      // A recorded leg waits on a pre-armed fence, not a cold sync.
+      trace::ScopedSpan ready(trace::Phase::GraphReplay, kind, 0, dest, tag);
+      vcuda::StreamFence(stream[s]);
+    }
+    // Prepare the next leg *before* the blocking send: the stream runs
+    // ahead of the host, so it overlaps this leg's wire time.
+    if (leg + 1 < f.legs && !prepare(leg + 1)) {
+      rc = MPI_ERR_OTHER;
+      break;
+    }
+    const void *wire =
+        slice != nullptr ? static_cast<const std::byte *>(slice->bytes) +
+                               static_cast<std::size_t>(leg) * f.chunk
+                         : slot[s];
     {
-      trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Send,
-                             leg_bytes, dest, tag,
-                             static_cast<std::int8_t>(Method::Pipelined));
+      trace::ScopedSpan span(trace::Phase::Wire, kind, leg_bytes, dest, tag,
+                             method);
       tune::ScopedObservation obs(tune::Axis::GpuWire, 0, leg_bytes,
-                                  tune::wire_observable(leg_bytes));
-      rc = next.Send(slot[s].get(), static_cast<int>(leg_bytes), MPI_BYTE,
-                     dest, tag, comm);
+                                  pack != nullptr &&
+                                      tune::wire_observable(leg_bytes));
+      rc = next.Send(wire, static_cast<int>(leg_bytes), MPI_BYTE, dest, tag,
+                     comm);
     }
     if (rc != MPI_SUCCESS) {
       break;
     }
     pc.chunks.add();
   }
-  // Drain both streams before the leases return to the cache (also covers
-  // the error path, where a pack for the next leg may still be enqueued).
-  vcuda::StreamSynchronize(stream[0]);
-  vcuda::StreamSynchronize(stream[1]);
+  // Drain both streams before the slots are reused or return to the cache
+  // (also on the error path, where the next leg may still be enqueued).
+  for (vcuda::StreamHandle st : stream) {
+    if (pack != nullptr) {
+      vcuda::StreamSynchronize(st);
+    } else if (replay != nullptr) {
+      vcuda::StreamFence(st);
+    }
+  }
   return rc;
 }
 
-int send_packed_pipelined(const void *bytes, std::size_t total, int dest,
-                          int tag, MPI_Comm comm, std::size_t chunk_target,
-                          const interpose::MpiTable &next) {
-  const std::size_t limit = wire_chunk_limit();
-  if (const std::size_t o = chunk_bytes_override(); o != 0) {
-    chunk_target = o; // TEMPI_CHUNK_BYTES is authoritative
-  } else if (chunk_target == 0) {
-    chunk_target = fallback_chunk_bytes(total);
-  }
-  // Clamp to the wire limit and the payload: at least one *full* leg must
-  // precede the strictly-shorter final leg, or the receiver would treat
-  // the lone data leg as full and wait for a terminator forever.
-  const std::size_t chunk = std::min(
-      {std::max<std::size_t>(chunk_target, 1), limit,
-       std::max<std::size_t>(total, 1)});
+LegRecv::LegRecv(const Packer &packer, void *buf, int count, int source,
+                 int tag, MPI_Comm comm)
+    : packer_(&packer), buf_(buf), count_(count), peer_(source), tag_(tag),
+      comm_(comm), expected_(packer.packed_bytes(count)) {
+  stream_[0] = vcuda::next_pool_stream();
+  stream_[1] = vcuda::next_pool_stream();
+  pipeline_counters().recvs.add();
+}
 
-  PipelineCounters &pc = pipeline_counters();
-  pc.sends.add();
-  if (total > limit) {
-    pc.over_ceiling_bytes.add(total);
+LegRecv::LegRecv(void *dst, std::size_t expected, int source, int tag,
+                 MPI_Comm comm)
+    : buf_(dst), peer_(source), tag_(tag), comm_(comm), expected_(expected) {
+  pipeline_counters().recvs.add();
+}
+
+int LegRecv::step(const interpose::MpiTable &next) {
+  if (done_) {
+    return MPI_SUCCESS;
   }
-  const auto *p = static_cast<const std::byte *>(bytes);
-  const std::size_t full_legs = total / chunk;
-  for (std::size_t leg = 0; leg < full_legs; ++leg) {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Coll, chunk,
-                           dest, tag);
-    const int rc = next.Send(p + leg * chunk, static_cast<int>(chunk),
-                             MPI_BYTE, dest, tag, comm);
-    if (rc != MPI_SUCCESS) {
-      return rc;
+  const bool first = legs_ == 0;
+  const int s = static_cast<int>(legs_ & 1);
+  // The first leg may be any legal chunk: the sender's chunk is bounded by
+  // the wire limit and by the message itself (a larger first leg means
+  // the sender ships more than fits — the system MPI's truncation error
+  // reports it). Later legs carry at most chunk_; landing at a running
+  // offset, the cap shrinks to the remaining room so an overrunning
+  // sender gets the same precise truncation error.
+  std::size_t cap =
+      first ? std::min(std::max<std::size_t>(expected_, 1), wire_chunk_limit())
+            : chunk_;
+  void *dst = nullptr;
+  if (packer_ == nullptr || accumulate_) {
+    dst = static_cast<std::byte *>(packer_ == nullptr ? buf_
+                                                      : slot_[0].get()) +
+          received_;
+    if (!first) {
+      cap = std::min(cap, expected_ - received_);
     }
-    pc.chunks.add();
+  } else if (first) {
+    {
+      trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
+                              cap);
+      slot_[0] = lease_buffer(vcuda::MemorySpace::Device, cap);
+    }
+    if (lease_failed(slot_[0], cap)) {
+      return MPI_ERR_OTHER;
+    }
+    dst = slot_[0].get();
+  } else {
+    {
+      // Before reusing this slot, its unpack from two legs ago must have
+      // drained; the other slot's unpack keeps overlapping this wire wait.
+      trace::ScopedSpan drain(trace::Phase::Unpack, trace::OpKind::Recv, 0,
+                              peer_, tag_,
+                              static_cast<std::int8_t>(Method::Pipelined));
+      vcuda::StreamSynchronize(stream_[s]);
+    }
+    dst = slot_[s].get();
   }
-  // Final leg: the remainder (strictly smaller than `chunk`), or an empty
-  // terminator on even division — also the whole message when total == 0.
-  const std::size_t rem = total - full_legs * chunk;
+  MPI_Status st;
   int rc;
   {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Coll, rem, dest,
-                           tag);
-    rc = next.Send(p + full_legs * chunk, static_cast<int>(rem), MPI_BYTE,
-                   dest, tag, comm);
+    trace::ScopedSpan wire(
+        trace::Phase::Wire,
+        packer_ != nullptr ? trace::OpKind::Recv : trace::OpKind::Coll, cap,
+        peer_, tag_,
+        packer_ != nullptr ? static_cast<std::int8_t>(Method::Pipelined)
+                           : std::int8_t{-1});
+    rc = next.Recv(dst, static_cast<int>(cap), MPI_BYTE, peer_, tag_, comm_,
+                   &st);
   }
-  if (rc == MPI_SUCCESS) {
-    pc.chunks.add();
+  if (rc != MPI_SUCCESS) {
+    return rc;
+  }
+  const auto leg = static_cast<std::size_t>(st.count_bytes);
+  pipeline_counters().chunks.add();
+  ++legs_;
+  if (first) {
+    // Later legs belong to the same message: lock the match to the first
+    // leg's source/tag (MPI_ANY_SOURCE / MPI_ANY_TAG must not re-wildcard).
+    peer_ = st.MPI_SOURCE;
+    tag_ = st.MPI_TAG;
+    first_status_ = st;
+    chunk_ = leg;
+    if (chunk_ == 0) {
+      done_ = true; // degenerate: an empty message
+      return MPI_SUCCESS;
+    }
+  }
+  if (received_ + leg > expected_) {
+    return MPI_ERR_TRUNCATE;
+  }
+  if (first && packer_ != nullptr) {
+    if (const int lrc = setup_slots(); lrc != MPI_SUCCESS) {
+      return lrc;
+    }
+  }
+  if (leg > 0 && packer_ != nullptr && !accumulate_) {
+    if (const int urc = unpack_leg(leg, s); urc != MPI_SUCCESS) {
+      return urc;
+    }
+  }
+  received_ += leg;
+  if (leg < chunk_) {
+    done_ = true;
+    if (accumulate_) {
+      const auto blk = static_cast<std::size_t>(packer_->wire_block_bytes());
+      if (blk == 0 || received_ % blk != 0) {
+        return MPI_ERR_OTHER; // stream ends mid-block
+      }
+      if (packer_->unpack_range_async(buf_, slot_[0].get(), 0,
+                                      static_cast<long long>(received_ / blk),
+                                      stream_[0]) != vcuda::Error::Success) {
+        return MPI_ERR_OTHER;
+      }
+    }
+  }
+  return MPI_SUCCESS;
+}
+
+int LegRecv::setup_slots() {
+  const auto blk = static_cast<std::size_t>(packer_->wire_block_bytes());
+  if (blk != 0 && chunk_ % blk == 0) {
+    // Legs are whole receiver blocks: unpack them through two ping-pong
+    // chunk leases.
+    slot_[1] = lease_buffer(vcuda::MemorySpace::Device, chunk_);
+    return lease_failed(slot_[1], chunk_) ? MPI_ERR_OTHER : MPI_SUCCESS;
+  }
+  // Legs are whole *sender* blocks; if they are not whole receiver blocks,
+  // fall back to accumulating the packed stream and unpacking once —
+  // correct, though no longer pipelined.
+  accumulate_ = true;
+  CachedBuffer all = lease_buffer(vcuda::MemorySpace::Device,
+                                  std::max<std::size_t>(expected_, 1));
+  if (lease_failed(all, expected_)) {
+    return MPI_ERR_OTHER;
+  }
+  vcuda::MemcpyAsync(all.get(), slot_[0].get(), chunk_,
+                     vcuda::MemcpyKind::DeviceToDevice, stream_[0]);
+  // The first-leg lease returns to the cache; drain the copy that read
+  // from it first.
+  vcuda::StreamSynchronize(stream_[0]);
+  slot_[0] = std::move(all);
+  return MPI_SUCCESS;
+}
+
+int LegRecv::unpack_leg(std::size_t leg_bytes, int slot) {
+  const auto blk = static_cast<std::size_t>(packer_->wire_block_bytes());
+  const auto n = static_cast<long long>(leg_bytes / blk);
+  if (static_cast<std::size_t>(n) * blk != leg_bytes) {
+    return MPI_ERR_OTHER; // partial receiver block; cannot scatter it
+  }
+  if (blocks_done_ + n > packer_->total_blocks(count_)) {
+    return MPI_ERR_TRUNCATE;
+  }
+  trace::ScopedSpan span(trace::Phase::Unpack, trace::OpKind::Recv, leg_bytes,
+                         peer_, tag_,
+                         static_cast<std::int8_t>(Method::Pipelined));
+  // Effective overlapped per-chunk unpack cost: the enqueue (launch)
+  // only — the kernel itself overlaps the next leg's wire time. Observe
+  // at the chunk knot so tuned pipelined estimates use overlapped costs.
+  tune::ScopedObservation obs(tune::Axis::DeviceUnpack, blk, leg_bytes,
+                              leg_bytes == chunk_);
+  const vcuda::Error e = packer_->unpack_range_async(
+      buf_, slot_[slot].get(), blocks_done_, n, stream_[slot]);
+  if (e != vcuda::Error::Success) {
+    obs.disarm();
+    return MPI_ERR_OTHER;
+  }
+  blocks_done_ += n;
+  return MPI_SUCCESS;
+}
+
+int LegRecv::finish(const interpose::MpiTable &next) {
+  int rc = MPI_SUCCESS;
+  while (!done_ && (rc = step(next)) == MPI_SUCCESS) {
   }
   return rc;
+}
+
+int LegRecv::poll(const interpose::MpiTable &next) {
+  while (!done_) {
+    int flag = 0;
+    if (next.Iprobe(peer_, tag_, comm_, &flag, nullptr) != MPI_SUCCESS ||
+        flag == 0) {
+      return MPI_SUCCESS;
+    }
+    if (const int rc = step(next); rc != MPI_SUCCESS) {
+      return rc;
+    }
+  }
+  return MPI_SUCCESS;
+}
+
+void LegRecv::append_streams(std::vector<vcuda::StreamHandle> &streams) const {
+  for (vcuda::StreamHandle s : stream_) {
+    if (s != nullptr && std::find(streams.begin(), streams.end(), s) ==
+                            streams.end()) {
+      streams.push_back(s);
+    }
+  }
+}
+
+void LegRecv::synchronize() {
+  if (packer_ == nullptr) {
+    return; // legs landed in place: no stream work
+  }
+  trace::ScopedSpan drain(trace::Phase::Unpack, trace::OpKind::Recv,
+                          received_, peer_, tag_,
+                          static_cast<std::int8_t>(Method::Pipelined));
+  vcuda::StreamSynchronize(stream_[0]);
+  vcuda::StreamSynchronize(stream_[1]);
+}
+
+void LegRecv::fill_status(MPI_Status *status) const {
+  if (status == MPI_STATUS_IGNORE) {
+    return;
+  }
+  *status = first_status_;
+  status->count_bytes = static_cast<long long>(received_);
 }
 
 // --- persistent-channel replay programs --------------------------------------
@@ -508,7 +703,7 @@ int record_persistent_send(const Packer &packer, Method m, const void *buf,
 int record_persistent_recv(const Packer &packer, Method m, void *buf,
                            int count, PersistentProgram *prog) {
   if (m == Method::Pipelined) {
-    return MPI_ERR_OTHER; // pipelined receives re-arm a ChunkedRecv instead
+    return MPI_ERR_OTHER; // pipelined receives re-arm a LegRecv instead
   }
   prog->stream = vcuda::next_pool_stream();
   // The wire lease is acquired live (the transfer lands in it every
@@ -526,7 +721,7 @@ int record_pipelined_send(const Packer &packer, const void *buf, int count,
                           std::size_t chunk_target,
                           PipelinedSendProgram *prog) {
   if (const int rc =
-          plan_pipeline_frame(packer, count, chunk_target, &prog->frame);
+          plan_packer_frame(packer, count, chunk_target, &prog->frame);
       rc != MPI_SUCCESS) {
     return rc;
   }
@@ -561,377 +756,6 @@ int record_pipelined_send(const Packer &packer, const void *buf, int count,
     }
   }
   return MPI_SUCCESS;
-}
-
-int replay_pipelined_send(const PipelinedSendProgram &prog, int dest, int tag,
-                          MPI_Comm comm, const interpose::MpiTable &next) {
-  const PipelineFrame &f = prog.frame;
-  const std::size_t blk = f.blocks_per_leg > 0
-                              ? f.chunk / static_cast<std::size_t>(
-                                              f.blocks_per_leg)
-                              : 0;
-  PipelineCounters &pc = pipeline_counters();
-  pc.sends.add();
-  const std::size_t total =
-      static_cast<std::size_t>(f.full_legs) * f.chunk +
-      static_cast<std::size_t>(f.rem_blocks) * blk;
-  if (total > wire_chunk_limit()) {
-    pc.over_ceiling_bytes.add(total);
-  }
-  const auto launch_leg = [&](long long leg) {
-    vcuda::GraphHandle g = prog.leg_graphs[static_cast<std::size_t>(leg)];
-    return g == nullptr ||
-           vcuda::GraphLaunch(g, prog.stream[leg & 1]) ==
-               vcuda::Error::Success;
-  };
-  // Same overlap discipline as send_pipelined — replay leg i+1's pack
-  // graph before leg i's blocking send — with the per-leg launch + cold
-  // sync replaced by a graph launch + pre-armed fence.
-  int rc = launch_leg(0) ? MPI_SUCCESS : MPI_ERR_OTHER;
-  for (long long leg = 0; rc == MPI_SUCCESS && leg < f.legs; ++leg) {
-    const int s = static_cast<int>(leg & 1);
-    {
-      trace::ScopedSpan replay(trace::Phase::GraphReplay,
-                               trace::OpKind::Persistent, 0, dest, tag);
-      vcuda::StreamFence(prog.stream[s]);
-      if (leg + 1 < f.legs && !launch_leg(leg + 1)) {
-        rc = MPI_ERR_OTHER;
-      }
-    }
-    if (rc != MPI_SUCCESS) {
-      break;
-    }
-    const std::size_t leg_bytes =
-        static_cast<std::size_t>(f.leg_blocks(leg)) * blk;
-    {
-      trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Persistent,
-                             leg_bytes, dest, tag);
-      rc = next.Send(prog.slot[s].get(), static_cast<int>(leg_bytes),
-                     MPI_BYTE, dest, tag, comm);
-    }
-    if (rc != MPI_SUCCESS) {
-      break;
-    }
-    pc.chunks.add();
-  }
-  // The slots are channel-pinned (not returning to the cache), but the
-  // error path must still drain any replayed-but-unsent pack work.
-  vcuda::StreamFence(prog.stream[0]);
-  vcuda::StreamFence(prog.stream[1]);
-  return rc;
-}
-
-PackedChunkRecv::PackedChunkRecv(void *dst, std::size_t expected, int source,
-                                 int tag, MPI_Comm comm)
-    : dst_(dst), expected_(expected), peer_(source), tag_(tag), comm_(comm) {
-  pipeline_counters().recvs.add();
-}
-
-int PackedChunkRecv::step(const interpose::MpiTable &next) {
-  if (done_) {
-    return MPI_SUCCESS;
-  }
-  // First leg: any legal chunk fits under min(expected, limit). Later
-  // legs: full legs carry exactly chunk_; near the end the cap shrinks to
-  // the remaining budget so an overrunning sender gets the system MPI's
-  // precise truncation error.
-  const std::size_t cap =
-      started_ ? std::min(chunk_, expected_ - received_)
-               : std::min(std::max<std::size_t>(expected_, 1),
-                          wire_chunk_limit());
-  MPI_Status st;
-  int rc;
-  {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Coll, cap,
-                           peer_, tag_);
-    rc = next.Recv(static_cast<std::byte *>(dst_) + received_,
-                   static_cast<int>(cap), MPI_BYTE, peer_, tag_, comm_, &st);
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  const auto leg = static_cast<std::size_t>(st.count_bytes);
-  pipeline_counters().chunks.add();
-  if (!started_) {
-    started_ = true;
-    // Later legs belong to the same message: lock the match to the first
-    // leg's source/tag (MPI_ANY_SOURCE / MPI_ANY_TAG must not re-wildcard).
-    peer_ = st.MPI_SOURCE;
-    tag_ = st.MPI_TAG;
-    first_status_ = st;
-    chunk_ = leg;
-    received_ = leg;
-    done_ = leg == 0; // degenerate: an empty message
-    return MPI_SUCCESS;
-  }
-  received_ += leg;
-  done_ = leg < chunk_;
-  return MPI_SUCCESS;
-}
-
-bool PackedChunkRecv::ready(const interpose::MpiTable &next) const {
-  if (done_) {
-    return false;
-  }
-  int flag = 0;
-  if (next.Iprobe(peer_, tag_, comm_, &flag, nullptr) != MPI_SUCCESS) {
-    return false;
-  }
-  return flag != 0;
-}
-
-void PackedChunkRecv::fill_status(MPI_Status *status) const {
-  if (status == MPI_STATUS_IGNORE) {
-    return;
-  }
-  *status = first_status_;
-  status->count_bytes = static_cast<long long>(received_);
-}
-
-ChunkedRecv::ChunkedRecv(const Packer &packer, void *buf, int count,
-                         int source, int tag, MPI_Comm comm)
-    : packer_(packer), buf_(buf), count_(count), peer_(source), tag_(tag),
-      comm_(comm), expected_(packer.packed_bytes(count)) {
-  stream_[0] = vcuda::next_pool_stream();
-  stream_[1] = vcuda::next_pool_stream();
-  pipeline_counters().recvs.add();
-}
-
-int ChunkedRecv::first_step(const interpose::MpiTable &next) {
-  // The first leg defines the chunk size. Its lease must hold any legal
-  // first leg: the sender's chunk is bounded by the wire limit and by the
-  // message itself (a larger first leg means the sender is shipping more
-  // than we can unpack — the system MPI's truncation error reports it).
-  const std::size_t cap =
-      std::min(std::max<std::size_t>(expected_, 1), wire_chunk_limit());
-  {
-    trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
-                            cap);
-    slot_[0] = lease_buffer(vcuda::MemorySpace::Device, cap);
-  }
-  if (lease_failed(slot_[0], cap)) {
-    return MPI_ERR_OTHER;
-  }
-  int rc;
-  {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Recv, cap,
-                           peer_, tag_,
-                           static_cast<std::int8_t>(Method::Pipelined));
-    rc = next.Recv(slot_[0].get(), static_cast<int>(cap), MPI_BYTE, peer_,
-                   tag_, comm_, &first_status_);
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  started_ = true;
-  // Later legs belong to the same message: lock the match to the first
-  // leg's source/tag (MPI_ANY_SOURCE / MPI_ANY_TAG must not re-wildcard).
-  peer_ = first_status_.MPI_SOURCE;
-  tag_ = first_status_.MPI_TAG;
-  chunk_ = static_cast<std::size_t>(first_status_.count_bytes);
-  pipeline_counters().chunks.add();
-  legs_ = 1;
-  if (chunk_ == 0) {
-    done_ = true; // degenerate: an empty message
-    return MPI_SUCCESS;
-  }
-  if (chunk_ > expected_) {
-    return MPI_ERR_TRUNCATE;
-  }
-  const auto blk = static_cast<std::size_t>(packer_.wire_block_bytes());
-  if (blk == 0 || chunk_ % blk != 0) {
-    // Legs are whole *sender* blocks; if they are not whole receiver
-    // blocks, fall back to accumulating the packed stream and unpacking
-    // once — correct, though no longer pipelined.
-    accumulate_ = true;
-    CachedBuffer all =
-        lease_buffer(vcuda::MemorySpace::Device,
-                     std::max<std::size_t>(expected_, 1));
-    if (lease_failed(all, expected_)) {
-      return MPI_ERR_OTHER;
-    }
-    vcuda::MemcpyAsync(all.get(), slot_[0].get(), chunk_,
-                       vcuda::MemcpyKind::DeviceToDevice, stream_[0]);
-    // The first-leg lease returns to the cache; drain the copy that read
-    // from it first.
-    vcuda::StreamSynchronize(stream_[0]);
-    slot_[0] = std::move(all);
-  }
-  received_ = chunk_;
-  if (!accumulate_) {
-    slot_[1] = lease_buffer(vcuda::MemorySpace::Device, chunk_);
-    if (lease_failed(slot_[1], chunk_)) {
-      return MPI_ERR_OTHER;
-    }
-    if (const int urc = unpack_leg(chunk_, 0); urc != MPI_SUCCESS) {
-      return urc;
-    }
-  }
-  return MPI_SUCCESS;
-}
-
-int ChunkedRecv::unpack_leg(std::size_t leg_bytes, int slot) {
-  const auto blk = static_cast<std::size_t>(packer_.wire_block_bytes());
-  const auto n = static_cast<long long>(leg_bytes / blk);
-  if (static_cast<std::size_t>(n) * blk != leg_bytes) {
-    return MPI_ERR_OTHER; // partial receiver block; cannot scatter it
-  }
-  if (blocks_done_ + n > packer_.total_blocks(count_)) {
-    return MPI_ERR_TRUNCATE;
-  }
-  trace::ScopedSpan span(trace::Phase::Unpack, trace::OpKind::Recv, leg_bytes,
-                         peer_, tag_,
-                         static_cast<std::int8_t>(Method::Pipelined));
-  // Effective overlapped per-chunk unpack cost: the enqueue (launch)
-  // only — the kernel itself overlaps the next leg's wire time. Observe
-  // at the chunk knot so tuned pipelined estimates use overlapped costs.
-  tune::ScopedObservation obs(tune::Axis::DeviceUnpack, blk, leg_bytes,
-                              leg_bytes == chunk_);
-  const vcuda::Error e = packer_.unpack_range_async(
-      buf_, slot_[slot].get(), blocks_done_, n, stream_[slot]);
-  if (e != vcuda::Error::Success) {
-    obs.disarm();
-    return MPI_ERR_OTHER;
-  }
-  blocks_done_ += n;
-  return MPI_SUCCESS;
-}
-
-int ChunkedRecv::step(const interpose::MpiTable &next) {
-  if (done_) {
-    return MPI_SUCCESS;
-  }
-  if (!started_) {
-    return first_step(next);
-  }
-  const int s = legs_ & 1;
-  MPI_Status leg_status;
-  int rc = MPI_SUCCESS;
-  if (accumulate_) {
-    // Fallback: receive straight into the full-size buffer at the running
-    // offset; a single unpack happens when the terminator arrives.
-    if (received_ + chunk_ > std::max<std::size_t>(expected_, 1)) {
-      // The next leg could overrun the accumulation buffer; receive into
-      // a scratch lease sized to the remaining budget to let the system
-      // MPI report the truncation precisely.
-      const std::size_t room = expected_ - received_;
-      CachedBuffer scratch = lease_buffer(vcuda::MemorySpace::Device,
-                                          std::max<std::size_t>(room, 1));
-      if (lease_failed(scratch, room)) {
-        return MPI_ERR_OTHER;
-      }
-      {
-        trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Recv, room,
-                               peer_, tag_,
-                               static_cast<std::int8_t>(Method::Pipelined));
-        rc = next.Recv(scratch.get(), static_cast<int>(room), MPI_BYTE, peer_,
-                       tag_, comm_, &leg_status);
-      }
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-      vcuda::MemcpyAsync(static_cast<std::byte *>(slot_[0].get()) + received_,
-                         scratch.get(),
-                         static_cast<std::size_t>(leg_status.count_bytes),
-                         vcuda::MemcpyKind::DeviceToDevice, stream_[0]);
-      vcuda::StreamSynchronize(stream_[0]); // scratch returns to the cache
-    } else {
-      trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Recv, chunk_,
-                             peer_, tag_,
-                             static_cast<std::int8_t>(Method::Pipelined));
-      rc = next.Recv(static_cast<std::byte *>(slot_[0].get()) + received_,
-                     static_cast<int>(chunk_), MPI_BYTE, peer_, tag_, comm_,
-                     &leg_status);
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-    }
-  } else {
-    {
-      // Before reusing this slot, its unpack from two legs ago must have
-      // drained; the other slot's unpack keeps overlapping this wire wait.
-      trace::ScopedSpan drain(trace::Phase::Unpack, trace::OpKind::Recv, 0,
-                              peer_, tag_,
-                              static_cast<std::int8_t>(Method::Pipelined));
-      vcuda::StreamSynchronize(stream_[s]);
-    }
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Recv, chunk_,
-                           peer_, tag_,
-                           static_cast<std::int8_t>(Method::Pipelined));
-    rc = next.Recv(slot_[s].get(), static_cast<int>(chunk_), MPI_BYTE, peer_,
-                   tag_, comm_, &leg_status);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-  }
-  const auto leg_bytes = static_cast<std::size_t>(leg_status.count_bytes);
-  pipeline_counters().chunks.add();
-  ++legs_;
-  if (received_ + leg_bytes > expected_) {
-    return MPI_ERR_TRUNCATE;
-  }
-  if (leg_bytes > 0 && !accumulate_) {
-    if (const int urc = unpack_leg(leg_bytes, s); urc != MPI_SUCCESS) {
-      return urc;
-    }
-  }
-  received_ += leg_bytes;
-  if (leg_bytes < chunk_) {
-    done_ = true;
-    if (accumulate_) {
-      const auto blk = static_cast<std::size_t>(packer_.wire_block_bytes());
-      if (blk == 0 || received_ % blk != 0) {
-        return MPI_ERR_OTHER; // stream ends mid-block
-      }
-      const vcuda::Error e = packer_.unpack_range_async(
-          buf_, slot_[0].get(), 0, static_cast<long long>(received_ / blk),
-          stream_[0]);
-      if (e != vcuda::Error::Success) {
-        return MPI_ERR_OTHER;
-      }
-    }
-  }
-  return MPI_SUCCESS;
-}
-
-bool ChunkedRecv::ready(const interpose::MpiTable &next) const {
-  if (done_) {
-    return false;
-  }
-  int flag = 0;
-  if (next.Iprobe(peer_, tag_, comm_, &flag, nullptr) != MPI_SUCCESS) {
-    return false;
-  }
-  return flag != 0;
-}
-
-void ChunkedRecv::append_streams(
-    std::vector<vcuda::StreamHandle> &streams) const {
-  for (vcuda::StreamHandle s : stream_) {
-    bool seen = false;
-    for (vcuda::StreamHandle have : streams) {
-      seen = seen || have == s;
-    }
-    if (!seen && s != nullptr) {
-      streams.push_back(s);
-    }
-  }
-}
-
-void ChunkedRecv::synchronize() {
-  trace::ScopedSpan drain(trace::Phase::Unpack, trace::OpKind::Recv,
-                          received_, peer_, tag_,
-                          static_cast<std::int8_t>(Method::Pipelined));
-  vcuda::StreamSynchronize(stream_[0]);
-  vcuda::StreamSynchronize(stream_[1]);
-}
-
-void ChunkedRecv::fill_status(MPI_Status *status) const {
-  if (status == MPI_STATUS_IGNORE) {
-    return;
-  }
-  *status = first_status_;
-  status->count_bytes = static_cast<long long>(received_);
 }
 
 } // namespace tempi

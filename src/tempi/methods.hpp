@@ -23,8 +23,10 @@
 #include "tempi/buffer_cache.hpp"
 #include "tempi/packer.hpp"
 #include "tempi/perf_model.hpp"
+#include "tempi/trace.hpp"
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 namespace tempi {
@@ -111,13 +113,19 @@ int recv_with_method(const Packer &packer, Method m, void *buf, int count,
 // rank runs the same configuration against the same payloads. A single
 // contiguous block whose packed size exceeds the wire-chunk limit cannot
 // be split and still fails with MPI_ERR_COUNT.
+//
+// One leg engine carries every pipelined transfer: plan_pipeline_frame
+// decides the framing, send_legs is the one sender loop (live pack
+// kernels, pre-packed slices, or a persistent channel's recorded graphs),
+// and LegRecv is the one receiver machine (with or without a packer).
 
 /// The frozen leg layout of one pipelined message: every full leg carries
 /// exactly `chunk` bytes (a whole number of blocks), the final leg is
-/// strictly smaller (an empty terminator on even division). Shared by
-/// send_pipelined and the persistent-channel recorder so the wire framing
-/// cannot drift between the live and replayed paths.
+/// strictly smaller (an empty terminator on even division). The one place
+/// the wire framing is decided, so it cannot drift between the live,
+/// pre-packed and replayed senders.
 struct PipelineFrame {
+  std::size_t block = 0;        ///< bytes per block (1 for pre-packed bytes)
   std::size_t chunk = 0;        ///< bytes per full leg
   long long blocks_per_leg = 0;
   long long full_legs = 0;      ///< legs carrying exactly `chunk`
@@ -126,46 +134,87 @@ struct PipelineFrame {
   [[nodiscard]] long long leg_blocks(long long leg) const {
     return leg < full_legs ? blocks_per_leg : rem_blocks;
   }
+  [[nodiscard]] std::size_t leg_bytes(long long leg) const {
+    return static_cast<std::size_t>(leg_blocks(leg)) * block;
+  }
+  [[nodiscard]] std::size_t total_bytes() const {
+    return static_cast<std::size_t>(full_legs) * chunk +
+           static_cast<std::size_t>(rem_blocks) * block;
+  }
 };
 
-/// Compute the frame for `count` objects with target leg size
-/// `chunk_target` (0 = fallback_chunk_bytes; the TEMPI_CHUNK_BYTES
-/// override is authoritative; legs are whole blocks clamped to the
-/// wire-chunk limit). Fails with MPI_ERR_ARG on empty payloads and
-/// MPI_ERR_COUNT when a single contiguous block exceeds the wire limit.
-int plan_pipeline_frame(const Packer &packer, int count,
+/// Frame `blocks` blocks of `block_bytes` each into legs of `chunk_target`
+/// bytes (0 = fallback_chunk_bytes; the TEMPI_CHUNK_BYTES override is
+/// authoritative; legs are whole blocks, at least one, clamped to the
+/// wire-chunk limit and to the payload). Zero blocks frame as one empty
+/// leg. Fails with MPI_ERR_ARG on a zero block size and MPI_ERR_COUNT when
+/// one contiguous block exceeds the wire limit.
+int plan_pipeline_frame(std::size_t block_bytes, long long blocks,
                         std::size_t chunk_target, PipelineFrame *frame);
 
-/// Send `count` objects chunked over the wire, overlapping each leg's
-/// pack with the previous leg's transfer. `chunk_target` is the model- or
-/// override-chosen leg size in bytes (rounded down to whole blocks and
-/// clamped to the wire-chunk limit; 0 = fallback_chunk_bytes). Runs every
-/// leg to completion: the system MPI's sends are buffered, so this never
-/// blocks on the receiver, which is what lets the request engine post
-/// pipelined sends eagerly at Isend time.
-int send_pipelined(const Packer &packer, const void *buf, int count,
-                   int dest, int tag, MPI_Comm comm, std::size_t chunk_target,
-                   const interpose::MpiTable &next);
+struct PipelinedSendProgram;
 
-/// Receiver-side per-chunk state machine, driven leg by leg so the
-/// blocking path (recv_with_method) and the request engine (Wait/Test in
-/// async.cpp) share one implementation. Each step() blocks for one wire
-/// leg and enqueues its unpack without synchronizing; the unpack of leg
-/// i-1 thus overlaps the wire wait of leg i. Call synchronize() before
+/// How each leg of a pipelined send becomes ready in its wire slot — a
+/// closed set, one per sender shape.
+/// Pack kernels: each leg packs `count` objects' blocks into one of two
+/// ping-pong chunk leases (`chunk_target` as in plan_pipeline_frame).
+struct PackLegs {
+  const Packer &packer;
+  const void *buf;
+  int count;
+  std::size_t chunk_target;
+};
+/// Pre-packed contiguous bytes (the collectives engine): each leg is a
+/// plain sub-slice, framed in 1-byte blocks; no kernels, no leases. The
+/// framing is the same, so a pre-packed sender and a packer-driven
+/// receiver (or vice versa) interoperate leg for leg.
+struct SliceLegs {
+  const void *bytes;
+  std::size_t total;
+  std::size_t chunk_target;
+};
+/// A persistent channel's recorded program: each leg replays its pack
+/// graph into a channel-pinned slot behind a pre-armed fence.
+struct ReplayLegs {
+  const PipelinedSendProgram &prog;
+};
+using LegSource = std::variant<PackLegs, SliceLegs, ReplayLegs>;
+
+/// The one pipelined sender loop: frame the message, then for every leg
+/// wait until it is ready, prepare the next leg (so it overlaps this leg's
+/// wire time), and send it. Runs every leg to completion: the system MPI's
+/// sends are buffered, so this never blocks on the receiver, which is
+/// what lets the request engine and MPI_Start post pipelined sends
+/// eagerly.
+int send_legs(const LegSource &src, int dest, int tag, MPI_Comm comm,
+              const interpose::MpiTable &next);
+
+/// The one pipelined receiver machine, driven leg by leg so the blocking
+/// path (recv_with_method) and the request engine (Wait/Test in async.cpp)
+/// share one implementation. The first leg's byte count is the chunk; any
+/// shorter leg ends the message. With a packer, each leg's unpack is
+/// enqueued without synchronizing as soon as it lands, so the unpack
+/// of leg i-1 overlaps the wire wait of leg i; when the receiver's block
+/// size does not divide the leg, legs accumulate into one full-size lease
+/// unpacked once at the end. Without a packer (pre-packed destination),
+/// legs land directly at a running offset. Call synchronize() before
 /// releasing the machine (even on error) so no stream work references the
 /// leased chunk buffers when they return to the cache.
-class ChunkedRecv {
+class LegRecv {
 public:
-  ChunkedRecv(const Packer &packer, void *buf, int count, int source,
-              int tag, MPI_Comm comm);
+  /// Packer-driven: unpack `count` objects into `buf`.
+  LegRecv(const Packer &packer, void *buf, int count, int source, int tag,
+          MPI_Comm comm);
+  /// Pre-packed: land `expected` contiguous bytes at `dst`.
+  LegRecv(void *dst, std::size_t expected, int source, int tag,
+          MPI_Comm comm);
 
-  /// Receive the next wire leg (blocking) and enqueue its unpack.
-  /// Returns MPI_SUCCESS and flips done() after the final (short) leg.
-  int step(const interpose::MpiTable &next);
+  /// Receive every remaining leg (blocking) until done() or an error.
+  int finish(const interpose::MpiTable &next);
 
-  /// True if the next leg has already arrived, so step() would not block
-  /// on the wire (Test-driven progress in the request engine).
-  [[nodiscard]] bool ready(const interpose::MpiTable &next) const;
+  /// Receive every leg that has already arrived, never blocking on the
+  /// wire (Test-driven progress in the request engine).
+  int poll(const interpose::MpiTable &next);
 
   [[nodiscard]] bool done() const { return done_; }
   [[nodiscard]] std::size_t bytes_received() const { return received_; }
@@ -174,7 +223,7 @@ public:
   /// the final sync across requests).
   void append_streams(std::vector<vcuda::StreamHandle> &streams) const;
 
-  /// Synchronize the unpack streams (idempotent).
+  /// Synchronize the unpack streams (idempotent; no-op when pre-packed).
   void synchronize();
 
   /// Publish MPI_SOURCE/MPI_TAG of the message (from the first leg) and
@@ -182,22 +231,24 @@ public:
   void fill_status(MPI_Status *status) const;
 
 private:
-  int first_step(const interpose::MpiTable &next);
+  /// Receive the next wire leg (blocking) and enqueue its unpack.
+  /// Returns MPI_SUCCESS and flips done() after the final (short) leg.
+  int step(const interpose::MpiTable &next);
+  int setup_slots();
   int unpack_leg(std::size_t leg_bytes, int slot);
 
-  const Packer &packer_;
+  const Packer *packer_ = nullptr; ///< null: pre-packed destination
   void *buf_;
-  int count_;
+  int count_ = 0;
   int peer_;       ///< locked to the first leg's source (MPI_ANY_SOURCE)
   int tag_;        ///< locked to the first leg's tag (MPI_ANY_TAG)
   MPI_Comm comm_;
 
-  std::size_t expected_ = 0; ///< packed_bytes(count_): the unpack budget
+  std::size_t expected_ = 0; ///< bytes the destination can take
   std::size_t chunk_ = 0;    ///< first leg's size; legs < chunk_ terminate
   std::size_t received_ = 0;
   long long blocks_done_ = 0;
   long long legs_ = 0;
-  bool started_ = false;
   bool done_ = false;
   /// Sender/receiver block sizes disagree (legs are not whole receiver
   /// blocks): legs accumulate into one full-size buffer, unpacked once
@@ -206,62 +257,6 @@ private:
 
   CachedBuffer slot_[2]; ///< ping-pong chunk leases (or [0] = full buffer)
   vcuda::StreamHandle stream_[2] = {nullptr, nullptr};
-  MPI_Status first_status_{};
-};
-
-// --- pre-packed (collectives-engine) legs ------------------------------------
-//
-// The collectives engine (tempi/collectives.*) packs every peer's blocks
-// with one fused kernel pass, so its per-peer wire legs carry bytes that
-// are already contiguous. These helpers mirror send_pipelined/ChunkedRecv
-// for that case: legs are plain sub-slices (no pack/unpack kernels, no
-// chunk leases) under the same PR 3 framing — full legs of exactly the
-// first leg's size, a strictly-shorter final leg, an empty terminator on
-// even division — so a pre-packed sender and a packer-driven receiver (or
-// vice versa) still interoperate leg for leg.
-
-/// Send `total` pre-packed bytes as ordered wire legs of up to
-/// `chunk_target` bytes (0 = fallback_chunk_bytes; the TEMPI_CHUNK_BYTES
-/// override is authoritative; the chunk is clamped to the wire limit and
-/// to the payload so at least one full leg precedes the terminator).
-/// Every leg is a buffered send, preserving the request engine's eager
-/// deadlock discipline.
-int send_packed_pipelined(const void *bytes, std::size_t total, int dest,
-                          int tag, MPI_Comm comm, std::size_t chunk_target,
-                          const interpose::MpiTable &next);
-
-/// Receiver-side state machine for a pre-packed destination: wire legs
-/// land directly at a running offset of `dst` (no unpack kernels), driven
-/// leg by leg like ChunkedRecv so Wait can run it to completion and Test
-/// can consume arrived legs incrementally.
-class PackedChunkRecv {
-public:
-  PackedChunkRecv(void *dst, std::size_t expected, int source, int tag,
-                  MPI_Comm comm);
-
-  /// Receive the next wire leg (blocking) into the running offset.
-  int step(const interpose::MpiTable &next);
-
-  /// True if the next leg has already arrived (Test-driven progress).
-  [[nodiscard]] bool ready(const interpose::MpiTable &next) const;
-
-  [[nodiscard]] bool done() const { return done_; }
-  [[nodiscard]] std::size_t bytes_received() const { return received_; }
-
-  /// Publish MPI_SOURCE/MPI_TAG (from the first leg) and the received
-  /// byte count. Call only after done().
-  void fill_status(MPI_Status *status) const;
-
-private:
-  void *dst_;
-  std::size_t expected_;
-  std::size_t chunk_ = 0; ///< first leg's size; legs < chunk_ terminate
-  std::size_t received_ = 0;
-  int peer_; ///< locked to the first leg's source (MPI_ANY_SOURCE)
-  int tag_;  ///< locked to the first leg's tag (MPI_ANY_TAG)
-  MPI_Comm comm_;
-  bool started_ = false;
-  bool done_ = false;
   MPI_Status first_status_{};
 };
 
@@ -309,7 +304,8 @@ int record_persistent_recv(const Packer &packer, Method m, void *buf,
 /// Frozen pipelined send program: per-leg pack graphs over two ping-pong
 /// chunk leases on two fixed pool streams — the per-launch-overhead
 /// worst case (L legs used to pay L kernel launches + L cold syncs; the
-/// replay pays L graph launches + L pre-armed fences).
+/// replay, send_legs(ReplayLegs{...}), pays L graph launches + L
+/// pre-armed fences).
 struct PipelinedSendProgram {
   PipelineFrame frame;
   CachedBuffer slot[2];
@@ -326,23 +322,17 @@ int record_pipelined_send(const Packer &packer, const void *buf, int count,
                           std::size_t chunk_target,
                           PipelinedSendProgram *prog);
 
-/// Replay the program: identical wire framing and pack/wire overlap to
-/// send_pipelined, with every leg's kernel chain replayed from its
-/// recorded graph.
-int replay_pipelined_send(const PipelinedSendProgram &prog, int dest, int tag,
-                          MPI_Comm comm, const interpose::MpiTable &next);
-
-/// Process-wide Pipelined counters (tests, benches, tempi::SendStats).
-struct PipelineStats {
-  std::uint64_t sends = 0;  ///< pipelined sends started
-  std::uint64_t recvs = 0;  ///< pipelined receives started
-  std::uint64_t chunks = 0; ///< wire legs issued (both sides, terminators
-                            ///< included)
+/// Process-wide Pipelined counters, registered as tempi.pipeline.* (read
+/// by tempi::send_stats()).
+struct PipelineCounters {
+  trace::Counter sends{"tempi.pipeline.sends"};  ///< pipelined sends
+  trace::Counter recvs{"tempi.pipeline.recvs"};  ///< pipelined receives
+  /// Wire legs issued (both sides, terminators included).
+  trace::Counter chunks{"tempi.pipeline.chunks"};
   /// Packed bytes carried by sends larger than the wire-chunk limit —
   /// traffic that used to fail with MPI_ERR_COUNT.
-  std::uint64_t over_ceiling_bytes = 0;
+  trace::Counter over_ceiling_bytes{"tempi.pipeline.over_ceiling_bytes"};
 };
-PipelineStats pipeline_stats();
-void reset_pipeline_stats();
+PipelineCounters &pipeline_counters();
 
 } // namespace tempi

@@ -153,16 +153,6 @@ std::optional<Shape> resolve_shape(MPI_Datatype dt, MPI_Op op) {
   return sh;
 }
 
-bool peer_on_my_node(MPI_Comm comm, int peer) {
-  sysmpi::World &world = *comm->world;
-  return world.node_of(comm->world_rank_of(peer)) ==
-         world.node_of(comm->world_rank_of(comm->my_rank));
-}
-
-bool lease_failed(const CachedBuffer &buf, std::size_t bytes) {
-  return bytes > 0 && buf.get() == nullptr;
-}
-
 /// How one rank addresses its packed contribution (per rank, per call —
 /// the packed wire format is identical regardless, see reduce.hpp).
 enum class Mode {
@@ -365,7 +355,7 @@ int post_send_leg(Ctx &ctx, const void *ptr, std::size_t nbytes, int peer,
   if (nbytes == 0) {
     return MPI_SUCCESS;
   }
-  const bool same_node = peer_on_my_node(ctx.comm, peer);
+  const bool same_node = topo::peer_on_my_node(ctx.comm, peer);
   TransferChoice c{Method::Device, 0};
   if (ctx.on_device()) {
     trace::ScopedSpan choice(trace::Phase::ModelChoice, trace::OpKind::Coll,
@@ -399,7 +389,7 @@ int post_recv_leg(Ctx &ctx, void *ptr, std::size_t nbytes, int peer, int tag,
   if (ctx.on_device()) {
     trace::ScopedSpan choice(trace::Phase::ModelChoice, trace::OpKind::Coll,
                              nbytes, peer, tag);
-    c = perf_model().choose_leg(nbytes, peer_on_my_node(ctx.comm, peer));
+    c = perf_model().choose_leg(nbytes, topo::peer_on_my_node(ctx.comm, peer));
     if (c.method == Method::Pipelined) {
       c = TransferChoice{Method::Device, 0};
     }
@@ -961,7 +951,7 @@ int reduce_scatter_named(const void *in, void *recvbuf,
                              off[static_cast<std::size_t>(dst)];
       rc = post_send_leg(ctx, acc.data() + off[static_cast<std::size_t>(dst)],
                          sb, dst, tag2, reqs, queued);
-      if (rc == MPI_SUCCESS && !peer_on_my_node(comm, dst)) {
+      if (rc == MPI_SUCCESS && !topo::peer_on_my_node(comm, dst)) {
         queued += sb;
       }
     }
@@ -1268,7 +1258,7 @@ int reduce_scatter_derived(const void *in, void *recvbuf,
                              off[static_cast<std::size_t>(dst)];
       rc = post_send_leg(ctx, acc.data() + off[static_cast<std::size_t>(dst)],
                          sb, dst, tag2, reqs, queued);
-      if (rc == MPI_SUCCESS && !peer_on_my_node(comm, dst)) {
+      if (rc == MPI_SUCCESS && !topo::peer_on_my_node(comm, dst)) {
         queued += sb;
       }
     }

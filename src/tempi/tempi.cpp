@@ -658,7 +658,7 @@ int tempi_Send(const void *buf, int count, MPI_Datatype datatype, int dest,
         return MPI_ERR_COUNT; // the wire leg's count is a C int
       }
       CachedBuffer dev = lease_buffer(vcuda::MemorySpace::Device, bytes);
-      if (dev.get() == nullptr && bytes > 0) {
+      if (lease_failed(dev, bytes)) {
         return MPI_ERR_OTHER; // lease failed; do not pack into null
       }
       if (bl->pack(dev.get(), buf, count, vcuda::default_stream()) !=
@@ -684,8 +684,8 @@ int tempi_Send(const void *buf, int count, MPI_Datatype datatype, int dest,
     break;
   case Method::Pipelined:
     s.sends_pipelined.add();
-    return send_pipelined(*packer, buf, count, dest, tag, comm,
-                          method->chunk_bytes, s.next);
+    return send_legs(PackLegs{*packer, buf, count, method->chunk_bytes},
+                     dest, tag, comm, s.next);
   }
   return send_with_method(*packer, method->method, buf, count, dest, tag,
                           comm, s.next);
@@ -704,7 +704,7 @@ int tempi_Recv(void *buf, int count, MPI_Datatype datatype, int source,
         return MPI_ERR_COUNT; // the wire leg's count is a C int
       }
       CachedBuffer dev = lease_buffer(vcuda::MemorySpace::Device, bytes);
-      if (dev.get() == nullptr && bytes > 0) {
+      if (lease_failed(dev, bytes)) {
         return MPI_ERR_OTHER; // lease failed; do not receive into null
       }
       const int rc = s.next.Recv(dev.get(), static_cast<int>(bytes), MPI_BYTE,
@@ -1425,7 +1425,7 @@ const Packer *find_packer_fast(MPI_Datatype datatype) {
 
 SendStats send_stats() {
   State &s = state();
-  const PipelineStats pipe = pipeline_stats();
+  const PipelineCounters &pipe = pipeline_counters();
   const coll::CollStats coll = coll::coll_stats();
   const async::PersistentStats pers = async::persistent_stats();
   const tune::TunerStats tuner = tune::stats();
@@ -1447,8 +1447,8 @@ SendStats send_stats() {
       s.method_memo_hits.value(),
       s.sends_pipelined.value(),
       s.isends_pipelined.value(),
-      pipe.chunks,
-      pipe.over_ceiling_bytes,
+      pipe.chunks.value(),
+      pipe.over_ceiling_bytes.value(),
       coll.alltoallv,
       coll.neighbor,
       coll.fallback,
@@ -1491,7 +1491,11 @@ void reset_send_stats() {
   s.method_memo_hits.reset();
   s.persistent_forwarded.reset();
   reset_model_cache_stats();
-  reset_pipeline_stats();
+  PipelineCounters &pipe = pipeline_counters();
+  pipe.sends.reset();
+  pipe.recvs.reset();
+  pipe.chunks.reset();
+  pipe.over_ceiling_bytes.reset();
   coll::reset_coll_stats();
   async::reset_persistent_stats();
   tune::reset_counters(); // counters only: learned cells survive

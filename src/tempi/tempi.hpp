@@ -147,8 +147,8 @@ struct SendStats {
   std::uint64_t method_memo_hits = 0;
 
   /// Pipelined (chunked) path counters. `pipelined`/`isend_pipelined`
-  /// count blocking and non-blocking pipelined sends; the rest mirror
-  /// tempi::pipeline_stats(): wire legs issued (both sides) and packed
+  /// count blocking and non-blocking pipelined sends; the rest read the
+  /// tempi.pipeline.* counters: wire legs issued (both sides) and packed
   /// bytes carried by sends above the single-leg wire limit — traffic
   /// that used to fail with MPI_ERR_COUNT.
   std::uint64_t pipelined = 0;

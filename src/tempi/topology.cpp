@@ -183,6 +183,12 @@ std::vector<std::size_t> schedule_order(const std::vector<Leg> &legs,
   return order;
 }
 
+bool peer_on_my_node(MPI_Comm comm, int peer) {
+  sysmpi::World &world = *comm->world;
+  return world.node_of(comm->world_rank_of(peer)) ==
+         world.node_of(comm->world_rank_of(comm->my_rank));
+}
+
 std::vector<std::size_t> schedule(MPI_Comm comm,
                                   const std::vector<int> &peers) {
   if (!enabled() || comm == nullptr || peers.size() < 2) {

@@ -55,6 +55,9 @@ struct Leg {
 std::vector<std::size_t> schedule_order(const std::vector<Leg> &legs,
                                         int my_node, int stagger, int nnodes);
 
+/// True when comm rank `peer` shares the calling rank's node.
+bool peer_on_my_node(MPI_Comm comm, int peer);
+
 /// schedule_order() for per-peer legs on `comm`: classifies each peer,
 /// derives the stagger from the rank's position on its node (the "rank
 /// salt": local_index * max(1, nnodes / ranks_per_node)), and bumps the

@@ -311,8 +311,8 @@ TEST(Collectives, NeighborSelfAndAliasedEdgesMatchSystemPath) {
 
 TEST(Collectives, OversizedPeerLegsPipelineUnderInjectedLimit) {
   // Per-peer legs above the wire-chunk limit must ship as ordered PR 3
-  // legs (send_packed_pipelined / PackedChunkRecv) — scaled down via the
-  // injectable limit so kilobytes exercise the >2 GiB machinery.
+  // legs (send_legs over SliceLegs / a packer-less LegRecv) — scaled down
+  // via the injectable limit so kilobytes exercise the >2 GiB machinery.
   tempi::ScopedInterposer guard;
   const std::size_t old_limit = tempi::set_wire_chunk_limit(4096);
   tempi::reset_send_stats();

@@ -342,7 +342,7 @@ TEST_F(TempiPersistent, DoubleStartIsRejected) {
 TEST_F(TempiPersistent, PipelinedChannelUnderInjectedWireLimit) {
   // A message over the injected wire limit freezes a Pipelined channel on
   // both endpoints: the sender replays one pre-recorded pack graph per
-  // leg, the receiver re-arms a ChunkedRecv per Start.
+  // leg, the receiver re-arms a LegRecv per Start.
   tempi::set_wire_chunk_limit(16 * 1024);
   run2([&](int rank) {
     MPI_Init(nullptr, nullptr);
@@ -391,7 +391,7 @@ TEST_F(TempiPersistent, PipelinedChannelUnderInjectedWireLimit) {
   EXPECT_EQ(stats.persistent_start, 6u);
   // 32 KiB over a 16 KiB limit is two full legs plus the empty
   // terminator: the sender replays one graph per non-empty leg per arm,
-  // while pipelined receives re-arm a ChunkedRecv (no replay).
+  // while pipelined receives re-arm a LegRecv (no replay).
   EXPECT_EQ(stats.persistent_replay_hits, 3u);
   EXPECT_EQ(stats.persistent_graph_launches, 6u);
   EXPECT_GT(stats.pipeline_chunks, 0u);

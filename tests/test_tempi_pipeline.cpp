@@ -3,9 +3,14 @@
 // exercise the >limit multi-leg path, the regression that oversized sends
 // now succeed instead of returning MPI_ERR_COUNT, TEMPI_CHUNK_BYTES-style
 // chunk overrides, pipeline SendStats, the request-engine integration
-// (Wait- and Test-driven chunk progress), and the Sendrecv decomposition.
+// (Wait- and Test-driven chunk progress), the Sendrecv decomposition, and
+// the leg-engine interop contract: receivers whose block size does not
+// divide the sender's legs, pre-packed senders, and truncation.
+#include "interpose/table.hpp"
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/async.hpp"
+#include "tempi/buffer_cache.hpp"
 #include "tempi/methods.hpp"
 #include "tempi/tempi.hpp"
 #include "test_helpers.hpp"
@@ -446,6 +451,165 @@ TEST_F(TempiPipeline, ChooseTransferForcedAboveTheLimit) {
   EXPECT_EQ(choice.method, tempi::Method::Pipelined);
   EXPECT_GT(choice.chunk_bytes, 0u);
   EXPECT_LE(choice.chunk_bytes, 64u * 1024u);
+}
+
+/// A committed MPI_Type_vector of floats plus a device object sized to
+/// its extent. Construct after MPI_Init and destroy before MPI_Finalize.
+struct VectorObject {
+  MPI_Datatype type = nullptr;
+  SpaceBuffer buf;
+  VectorObject(int vcount, int blocklen, int stride)
+      : buf(vcuda::MemorySpace::Device,
+            static_cast<std::size_t>((vcount - 1) * stride + blocklen) *
+                    sizeof(float) +
+                64) {
+    MPI_Type_vector(vcount, blocklen, stride, MPI_FLOAT, &type);
+    MPI_Type_commit(&type);
+  }
+  ~VectorObject() { MPI_Type_free(&type); }
+  VectorObject(const VectorObject &) = delete;
+  VectorObject &operator=(const VectorObject &) = delete;
+};
+
+/// Run `body` on two ranks between MPI_Init and MPI_Finalize, so objects
+/// it creates are gone before finalization.
+void run2_mpi(const std::function<void(int)> &body) {
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    body(rank);
+    MPI_Finalize();
+  });
+}
+
+enum class RecvStyle { Blocking, IrecvWait, IrecvTest };
+constexpr RecvStyle kAllStyles[] = {RecvStyle::Blocking, RecvStyle::IrecvWait,
+                                    RecvStyle::IrecvTest};
+
+/// Receive one object of `obj`'s type from rank 0 with `style`, returning
+/// the MPI error code of the receive (or of its completion call).
+int receive_with(RecvStyle style, VectorObject &obj, int tag) {
+  if (style == RecvStyle::Blocking) {
+    return MPI_Recv(obj.buf.get(), 1, obj.type, 0, tag, MPI_COMM_WORLD,
+                    MPI_STATUS_IGNORE);
+  }
+  MPI_Request req = MPI_REQUEST_NULL;
+  if (const int rc = MPI_Irecv(obj.buf.get(), 1, obj.type, 0, tag,
+                               MPI_COMM_WORLD, &req);
+      rc != MPI_SUCCESS) {
+    return rc;
+  }
+  if (style == RecvStyle::IrecvWait) {
+    return MPI_Wait(&req, MPI_STATUS_IGNORE);
+  }
+  int flag = 0;
+  int rc = MPI_SUCCESS;
+  while (flag == 0 && rc == MPI_SUCCESS) {
+    rc = MPI_Test(&req, &flag, MPI_STATUS_IGNORE);
+  }
+  return rc;
+}
+
+TEST_F(TempiPipeline, ReceiverBlocksThatDoNotDivideTheLegAccumulate) {
+  // Sender blocks of 48 B, receiver blocks of 32 B, 384 packed bytes on
+  // both sides: 144-byte legs (3 sender blocks) are not whole receiver
+  // blocks, so the receiver accumulates the packed stream and unpacks it
+  // once. Every receive style must still land the exact bytes.
+  PipelineConfigGuard guard(/*limit=*/tempi::kMaxWireBytes,
+                            /*override=*/144);
+  tempi::set_send_mode(tempi::SendMode::ForcePipelined);
+  run2_mpi([&](int rank) {
+    VectorObject send(8, 12, 24); // 8 blocks x 48 B
+    VectorObject recv(12, 8, 16); // 12 blocks x 32 B
+    fill_pattern(send.buf.get(), send.buf.size(), 71);
+    const auto expected = reference_pack(send.buf.get(), 1, *send.type);
+    ASSERT_EQ(expected.size(), 384u);
+    for (int i = 0; i < 3; ++i) {
+      if (rank == 0) {
+        ASSERT_EQ(MPI_Send(send.buf.get(), 1, send.type, 1, 20 + i,
+                           MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+        continue;
+      }
+      std::memset(recv.buf.get(), 0, recv.buf.size());
+      ASSERT_EQ(receive_with(kAllStyles[i], recv, 20 + i), MPI_SUCCESS)
+          << "style " << i;
+      EXPECT_EQ(reference_pack(recv.buf.get(), 1, *recv.type), expected)
+          << "style " << i;
+    }
+  });
+}
+
+TEST_F(TempiPipeline, PrePackedSenderFeedsPackerReceiver) {
+  // The collectives engine ships pre-packed bytes under the same framing
+  // (1-byte blocks). A packer-driven receiver must reassemble them leg
+  // for leg: 64 B receiver blocks divide the sender's legs (per-leg
+  // unpack), 48 B blocks do not (accumulate fallback).
+  PipelineConfigGuard guard(/*limit=*/4096);
+  tempi::set_send_mode(tempi::SendMode::ForcePipelined);
+  const interpose::MpiTable &next = interpose::system_table();
+  run2_mpi([&](int rank) {
+    VectorObject pipelined(768, 16, 32);    // 48 KiB of 64 B blocks
+    VectorObject accumulated(1024, 12, 24); // 48 KiB of 48 B blocks
+    int tag = 30;
+    for (VectorObject *recv : {&pipelined, &accumulated}) {
+      ++tag;
+      SpaceBuffer packed(vcuda::MemorySpace::Device, 48 * 1024);
+      fill_pattern(packed.get(), packed.size(),
+                   static_cast<std::uint32_t>(tag));
+      if (rank == 0) {
+        MPI_Request req = MPI_REQUEST_NULL;
+        ASSERT_EQ(tempi::async::start_isend_packed(
+                      packed.get(), packed.size(), tempi::Method::Pipelined,
+                      0, 1, tag, MPI_COMM_WORLD, next, &req),
+                  MPI_SUCCESS);
+        ASSERT_EQ(tempi::async::wait(&req, MPI_STATUS_IGNORE, next),
+                  MPI_SUCCESS);
+        continue;
+      }
+      std::memset(recv->buf.get(), 0, recv->buf.size());
+      MPI_Status status;
+      ASSERT_EQ(MPI_Recv(recv->buf.get(), 1, recv->type, 0, tag,
+                         MPI_COMM_WORLD, &status),
+                MPI_SUCCESS);
+      EXPECT_EQ(status.MPI_SOURCE, 0);
+      EXPECT_EQ(status.MPI_TAG, tag);
+      const auto got = reference_pack(recv->buf.get(), 1, *recv->type);
+      ASSERT_EQ(got.size(), packed.size());
+      EXPECT_EQ(std::memcmp(got.data(), packed.get(), got.size()), 0);
+    }
+  });
+}
+
+TEST_F(TempiPipeline, TruncatedPipelinedReceiveFailsWithoutLeaking) {
+  // A receive buffer smaller than the packed bytes sent must fail with
+  // MPI_ERR_TRUNCATE, blocking or through Irecv+Wait, and hand every
+  // chunk lease back. Case 0 pipelines the unpack (same block size:
+  // 192 KiB sent into 96 KiB); case 1 accumulates (48 B sender blocks,
+  // 32 B receiver blocks: 768 B sent into 384 B).
+  PipelineConfigGuard guard(/*limit=*/64 * 1024);
+  tempi::set_send_mode(tempi::SendMode::ForcePipelined);
+  for (int c = 0; c < 2; ++c) {
+    tempi::set_chunk_bytes_override(c == 0 ? 0 : 144);
+    run2_mpi([&](int rank) {
+      VectorObject send(c == 0 ? 3 * 1024 : 16, c == 0 ? 16 : 12,
+                        c == 0 ? 48 : 24);
+      VectorObject recv(c == 0 ? 1536 : 12, c == 0 ? 16 : 8,
+                        c == 0 ? 48 : 16);
+      fill_pattern(send.buf.get(), send.buf.size(), 5);
+      for (int i = 0; i < 2; ++i) {
+        if (rank == 0) {
+          ASSERT_EQ(MPI_Send(send.buf.get(), 1, send.type, 1, 40 + i,
+                             MPI_COMM_WORLD),
+                    MPI_SUCCESS);
+          continue;
+        }
+        EXPECT_EQ(receive_with(kAllStyles[i], recv, 40 + i),
+                  MPI_ERR_TRUNCATE)
+            << "case " << c << " style " << i;
+      }
+    });
+    EXPECT_EQ(tempi::buffer_cache_stats().leased_now, 0u) << "case " << c;
+  }
 }
 
 } // namespace
