@@ -144,6 +144,35 @@ void BM_ModelChoose(benchmark::State &state) {
 }
 BENCHMARK(BM_ModelChoose);
 
+// Host cost of the pack kernel body: one 1 MiB object of `block`-byte rows
+// at a 2 * block pitch, packed device-to-device. The modeled device time
+// is irrelevant here; the wall time is the CPU executing the kernel body.
+void BM_PackHost(benchmark::State &state) {
+  constexpr long long kObjectBytes = 1 << 20;
+  const long long block = state.range(0);
+  tempi::StridedBlock sb;
+  sb.counts = {block, kObjectBytes / block};
+  sb.strides = {1, 2 * block};
+  const long long extent = sb.counts[1] * sb.strides[1];
+  const tempi::Packer packer(sb, extent, sb.size());
+  void *obj = nullptr, *flat = nullptr;
+  vcuda::Malloc(&obj, static_cast<std::size_t>(extent));
+  vcuda::Malloc(&flat, static_cast<std::size_t>(sb.size()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        packer.pack(flat, obj, 1, vcuda::default_stream()));
+    benchmark::DoNotOptimize(flat);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * sb.size());
+  vcuda::Free(flat);
+  vcuda::Free(obj);
+}
+BENCHMARK(BM_PackHost)
+    ->ArgName("block")
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(8)->Arg(12)->Arg(24)->Arg(64)->Arg(100)
+    ->Arg(256)->Arg(1024)->Arg(4096);
+
 } // namespace
 
 BENCHMARK_MAIN();

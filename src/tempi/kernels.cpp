@@ -1,6 +1,7 @@
 #include "tempi/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -24,46 +25,6 @@ unsigned next_pow2_capped(long long n, unsigned cap) {
   const auto v = static_cast<unsigned long long>(n);
   const unsigned long long p = std::bit_ceil(v);
   return static_cast<unsigned>(std::min<unsigned long long>(p, cap));
-}
-
-/// Iterate every (object, dim>=1 index tuple) block and invoke
-/// fn(src_block_offset, dst_linear_offset, block_bytes). Works for any
-/// dimensionality; dimension 0 is the contiguous block.
-template <typename Fn>
-void for_each_kernel_block(const StridedBlock &sb, long long extent,
-                           int count, Fn &&fn) {
-  const int nd = sb.ndims();
-  const long long block = sb.counts[0];
-  if (block == 0) {
-    return;
-  }
-  long long blocks_per_obj = 1;
-  for (int d = 1; d < nd; ++d) {
-    blocks_per_obj *= sb.counts[static_cast<std::size_t>(d)];
-  }
-  std::vector<long long> idx(static_cast<std::size_t>(std::max(nd - 1, 0)), 0);
-  for (int obj = 0; obj < count; ++obj) {
-    const long long obj_src = static_cast<long long>(obj) * extent + sb.start;
-    const long long obj_dst =
-        static_cast<long long>(obj) * blocks_per_obj * block;
-    std::fill(idx.begin(), idx.end(), 0);
-    for (long long b = 0; b < blocks_per_obj; ++b) {
-      long long src_off = obj_src;
-      for (int d = 1; d < nd; ++d) {
-        src_off += idx[static_cast<std::size_t>(d - 1)] *
-                   sb.strides[static_cast<std::size_t>(d)];
-      }
-      fn(src_off, obj_dst + b * block, block);
-      // Advance the (dim 1, dim 2, ...) index tuple, dim 1 fastest.
-      for (int d = 1; d < nd; ++d) {
-        auto &i = idx[static_cast<std::size_t>(d - 1)];
-        if (++i < sb.counts[static_cast<std::size_t>(d)]) {
-          break;
-        }
-        i = 0;
-      }
-    }
-  }
 }
 
 } // namespace
@@ -165,6 +126,98 @@ vcuda::KernelCost unpack_cost(const StridedBlock &sb, int count,
   return cost;
 }
 
+namespace {
+
+// --- the row copies (RowCopy) a plan freezes --------------------------------
+
+/// Visit the row pairs of a row copy: copy_row(dst_row, src_row).
+template <bool Pack, typename CopyRow>
+void each_row(std::byte *dst, const std::byte *src, long long rows,
+              long long stride, long long block, CopyRow copy_row) {
+  const long long dst_step = Pack ? block : stride;
+  const long long src_step = Pack ? stride : block;
+  for (long long r = 0; r < rows; ++r, dst += dst_step, src += src_step) {
+    copy_row(dst, src);
+  }
+}
+
+/// Tier 1: a power-of-two block of at most 256 B, copied with a
+/// compile-time size (a few register moves, no call).
+template <bool Pack, std::size_t B>
+void copy_rows_fixed(std::byte *dst, const std::byte *src, long long rows,
+                     long long stride, long long /*block*/) {
+  each_row<Pack>(dst, src, rows, stride, B,
+                 [](std::byte *d, const std::byte *s) {
+                   std::memcpy(d, s, B);
+                 });
+}
+
+/// Tier 2: any other block of at most 256 B, copied as W-byte words (the
+/// kernel's word size, which divides the block). Blocks of at least
+/// kChunkedBlock bytes move whole 32 B chunks first and finish with words;
+/// below that the plain word loop is faster.
+template <bool Pack, std::size_t W, bool Chunked>
+void copy_rows_words(std::byte *dst, const std::byte *src, long long rows,
+                     long long stride, long long block) {
+  constexpr long long kChunk = 32;
+  const long long chunked = Chunked ? block / kChunk * kChunk : 0;
+  each_row<Pack>(dst, src, rows, stride, block,
+                 [block, chunked](std::byte *d, const std::byte *s) {
+                   long long i = 0;
+                   if constexpr (Chunked) {
+                     for (; i < chunked; i += kChunk) {
+                       std::memcpy(d + i, s + i, kChunk);
+                     }
+                   }
+                   for (; i < block; i += static_cast<long long>(W)) {
+                     std::memcpy(d + i, s + i, W);
+                   }
+                 });
+}
+
+/// Tier 3: larger blocks, one libc memcpy per row.
+template <bool Pack>
+void copy_rows_memcpy(std::byte *dst, const std::byte *src, long long rows,
+                      long long stride, long long block) {
+  each_row<Pack>(dst, src, rows, stride, block,
+                 [block](std::byte *d, const std::byte *s) {
+                   std::memcpy(d, s, static_cast<std::size_t>(block));
+                 });
+}
+
+constexpr long long kMaxSpecializedBlock = 256;
+constexpr long long kChunkedBlock = 64;
+
+/// Row copy for blocks of `block` bytes moving `word_size`-byte words.
+template <bool Pack>
+RowCopy select_row_copy(long long block, int word_size) {
+  // Indexed by log2 of the block (tier 1) or of the word (tier 2).
+  static constexpr RowCopy fixed[] = {
+      copy_rows_fixed<Pack, 1>,  copy_rows_fixed<Pack, 2>,
+      copy_rows_fixed<Pack, 4>,  copy_rows_fixed<Pack, 8>,
+      copy_rows_fixed<Pack, 16>, copy_rows_fixed<Pack, 32>,
+      copy_rows_fixed<Pack, 64>, copy_rows_fixed<Pack, 128>,
+      copy_rows_fixed<Pack, 256>};
+  static constexpr RowCopy words[2][5] = {
+      {copy_rows_words<Pack, 1, false>, copy_rows_words<Pack, 2, false>,
+       copy_rows_words<Pack, 4, false>, copy_rows_words<Pack, 8, false>,
+       copy_rows_words<Pack, 16, false>},
+      {copy_rows_words<Pack, 1, true>, copy_rows_words<Pack, 2, true>,
+       copy_rows_words<Pack, 4, true>, copy_rows_words<Pack, 8, true>,
+       copy_rows_words<Pack, 16, true>}};
+  if (block < 1 || block > kMaxSpecializedBlock) {
+    return copy_rows_memcpy<Pack>;
+  }
+  const auto b = static_cast<unsigned long long>(block);
+  if (std::has_single_bit(b)) {
+    return fixed[std::countr_zero(b)];
+  }
+  return words[block >= kChunkedBlock]
+              [std::countr_zero(static_cast<unsigned>(word_size))];
+}
+
+} // namespace
+
 PackPlan make_pack_plan(const StridedBlock &sb, long long extent) {
   PackPlan plan;
   plan.contiguous = sb.ndims() == 1;
@@ -173,6 +226,8 @@ PackPlan make_pack_plan(const StridedBlock &sb, long long extent) {
   }
   plan.word_size = select_word_size(sb);
   plan.config = make_launch_config(sb, plan.word_size, 1);
+  plan.pack_rows = select_row_copy<true>(sb.block_bytes(), plan.word_size);
+  plan.unpack_rows = select_row_copy<false>(sb.block_bytes(), plan.word_size);
   plan.grid_z_per_object = sb.ndims() == 2;
   if (sb.ndims() == 2) {
     plan.dma_capable = true;
@@ -194,71 +249,6 @@ vcuda::LaunchConfig launch_config_for(const PackPlan &plan, int count) {
   return cfg;
 }
 
-vcuda::Error launch_pack(const PackPlan &plan, const StridedBlock &sb,
-                         long long extent, void *dst, const void *src,
-                         int count, vcuda::StreamHandle stream) {
-  assert(sb.ndims() >= 1);
-  if (plan.contiguous) {
-    // Contiguous object: a single async copy per object (per Sec. 3.3).
-    const auto bytes = static_cast<std::size_t>(sb.counts[0]);
-    auto *out = static_cast<std::byte *>(dst);
-    const auto *in = static_cast<const std::byte *>(src) + sb.start;
-    for (int i = 0; i < count; ++i) {
-      const vcuda::Error e = vcuda::MemcpyAsync(
-          out + static_cast<long long>(i) * sb.counts[0], in + i * extent,
-          bytes, vcuda::MemcpyKind::Default, stream);
-      if (e != vcuda::Error::Success) {
-        return e;
-      }
-    }
-    return vcuda::Error::Success;
-  }
-  const vcuda::LaunchConfig cfg = launch_config_for(plan, count);
-  const vcuda::KernelCost cost =
-      pack_cost(sb, count, space_of(src), space_of(dst));
-  auto *out = static_cast<std::byte *>(dst);
-  const auto *in = static_cast<const std::byte *>(src);
-  return vcuda::LaunchKernel(cfg, cost, stream, [&sb, extent, count, out, in] {
-    for_each_kernel_block(sb, extent, count,
-                          [out, in](long long s, long long d, long long n) {
-                            std::memcpy(out + d, in + s,
-                                        static_cast<std::size_t>(n));
-                          });
-  });
-}
-
-vcuda::Error launch_unpack(const PackPlan &plan, const StridedBlock &sb,
-                           long long extent, void *dst, const void *src,
-                           int count, vcuda::StreamHandle stream) {
-  assert(sb.ndims() >= 1);
-  if (plan.contiguous) {
-    const auto bytes = static_cast<std::size_t>(sb.counts[0]);
-    auto *out = static_cast<std::byte *>(dst) + sb.start;
-    const auto *in = static_cast<const std::byte *>(src);
-    for (int i = 0; i < count; ++i) {
-      const vcuda::Error e = vcuda::MemcpyAsync(
-          out + i * extent, in + static_cast<long long>(i) * sb.counts[0],
-          bytes, vcuda::MemcpyKind::Default, stream);
-      if (e != vcuda::Error::Success) {
-        return e;
-      }
-    }
-    return vcuda::Error::Success;
-  }
-  const vcuda::LaunchConfig cfg = launch_config_for(plan, count);
-  const vcuda::KernelCost cost =
-      unpack_cost(sb, count, space_of(src), space_of(dst));
-  auto *out = static_cast<std::byte *>(dst);
-  const auto *in = static_cast<const std::byte *>(src);
-  return vcuda::LaunchKernel(cfg, cost, stream, [&sb, extent, count, out, in] {
-    for_each_kernel_block(sb, extent, count,
-                          [out, in](long long s, long long d, long long n) {
-                            std::memcpy(out + s, in + d,
-                                        static_cast<std::size_t>(n));
-                          });
-  });
-}
-
 namespace {
 
 /// Blocks (dimension-0 rows) per object: the packed stream is the
@@ -272,36 +262,85 @@ long long blocks_per_object(const StridedBlock &sb) {
   return n;
 }
 
-/// Range variant of for_each_kernel_block: visit global blocks
-/// [g0, g1), invoking fn(src_block_offset, range_relative_dst_offset,
-/// block_bytes). Block g lives in object g / blocks_per_object at the
-/// dimension-1-fastest index decomposition of g % blocks_per_object —
-/// exactly the order the whole-message iteration emits, so a range's
-/// packed bytes equal the same slice of the full pack.
+/// Object-side byte distance between the rows of one run.
+long long row_stride(const StridedBlock &sb, long long extent) {
+  return sb.ndims() >= 2 ? sb.strides[1] : extent;
+}
+
+/// The recursive half of for_each_row_run: one level per dimension >= 1,
+/// so the index tuple lives on the call stack whatever ndims() is.
+template <typename Fn> struct RowRunWalk {
+  const StridedBlock &sb;
+  long long block;
+  long long left;   ///< blocks still to emit
+  long long packed; ///< packed offset of the next block, relative to g0
+  Fn &fn;
+
+  /// Walk dimension `d` of the box at object offset `off`, skipping its
+  /// first `skip` blocks; `per` is the block count of one index of `d`.
+  void dim(int d, long long off, long long skip, long long per) {
+    const auto ud = static_cast<std::size_t>(d);
+    if (d == 1) {
+      const long long rows = std::min(sb.counts[1] - skip, left);
+      fn(off + skip * sb.strides[1], packed, rows);
+      packed += rows * block;
+      left -= rows;
+      return;
+    }
+    long long i = 0;
+    if (skip > 0) {
+      i = skip / per;
+      skip %= per;
+    }
+    const long long inner = per / sb.counts[ud - 1];
+    for (; i < sb.counts[ud] && left > 0; ++i, skip = 0) {
+      dim(d - 1, off + i * sb.strides[ud], skip, inner);
+    }
+  }
+};
+
+/// The one block walker of every kernel body. Visits global blocks
+/// [g0, g1) (block g is row g % blocks_per_object of object
+/// g / blocks_per_object, dimension 1 fastest) and emits
+/// fn(object_offset, packed_offset, rows) per run of consecutive
+/// dimension-1 rows: `rows` blocks that sit row_stride() apart on the
+/// object side and are dense on the packed side, where packed_offset
+/// counts from g0. g0 is decomposed once; the walk then steps the index
+/// tuple. A 1-D object is a single block, so its run spans consecutive
+/// objects.
 template <typename Fn>
-void for_each_kernel_block_range(const StridedBlock &sb, long long extent,
-                                 long long g0, long long g1, Fn &&fn) {
-  const long long block = sb.counts.empty() ? 0 : sb.counts[0];
-  if (block == 0 || g1 <= g0) {
+void for_each_row_run(const StridedBlock &sb, long long extent, long long g0,
+                      long long g1, Fn &&fn) {
+  const long long block = sb.block_bytes();
+  const long long per_obj = blocks_per_object(sb);
+  if (block == 0 || per_obj == 0 || g1 <= g0) {
     return;
   }
-  const long long per_obj = blocks_per_object(sb);
-  for (long long g = g0; g < g1; ++g) {
-    const long long obj = g / per_obj;
-    long long rem = g % per_obj;
-    long long src_off = obj * extent + sb.start;
-    for (int d = 1; d < sb.ndims(); ++d) {
-      const long long c = sb.counts[static_cast<std::size_t>(d)];
-      src_off += (rem % c) * sb.strides[static_cast<std::size_t>(d)];
-      rem /= c;
-    }
-    fn(src_off, (g - g0) * block, block);
+  if (sb.ndims() == 1) {
+    fn(sb.start + g0 * extent, 0LL, g1 - g0);
+    return;
+  }
+  RowRunWalk<Fn> walk{sb, block, g1 - g0, 0, fn};
+  const int top = sb.ndims() - 1;
+  const long long per_top = per_obj / sb.counts[static_cast<std::size_t>(top)];
+  long long skip = g0 % per_obj;
+  for (long long obj = g0 / per_obj; walk.left > 0; ++obj, skip = 0) {
+    walk.dim(top, obj * extent + sb.start, skip, per_top);
   }
 }
 
-/// Geometry/cost for a ranged launch: the equivalent whole objects the
-/// range spans (cost scales with bytes; geometry only shapes the model).
-vcuda::KernelCost ranged_cost(const StridedBlock &sb, long long n_blocks,
+/// One walker call of a kernel body: global blocks [g0, g1) of the
+/// objects at obj_offset, packed from packed_offset on.
+struct Segment {
+  long long obj_offset = 0;
+  long long packed_offset = 0;
+  long long g0 = 0;
+  long long g1 = 0;
+};
+
+/// pack_cost/unpack_cost priced by block count, so whole-object, ranged
+/// and span launches share one formula (cost scales with bytes).
+vcuda::KernelCost blocks_cost(const StridedBlock &sb, long long n_blocks,
                               bool is_pack, vcuda::MemorySpace src_space,
                               vcuda::MemorySpace dst_space) {
   vcuda::KernelCost cost;
@@ -322,202 +361,169 @@ vcuda::KernelCost ranged_cost(const StridedBlock &sb, long long n_blocks,
   return cost;
 }
 
-} // namespace
-
-vcuda::Error launch_pack_range(const PackPlan &plan, const StridedBlock &sb,
-                               long long extent, void *dst, const void *src,
-                               long long first_block, long long n_blocks,
-                               vcuda::StreamHandle stream) {
-  assert(first_block >= 0 && n_blocks >= 0);
-  if (n_blocks == 0) {
-    return vcuda::Error::Success;
-  }
+/// Shared body of every pack/unpack launch. A 1-D (contiguous) plan issues
+/// one async copy per object (Sec. 3.3; global block g is object g).
+/// Otherwise one kernel of `objects`-object geometry moving `blocks`
+/// blocks runs the walker over each segment with the plan's row copy.
+template <bool Pack, typename Segments>
+vcuda::Error launch_copy(const PackPlan &plan, const StridedBlock &sb,
+                         long long extent, void *dst, const void *src,
+                         int objects, long long blocks, Segments segs,
+                         vcuda::StreamHandle stream) {
+  auto *out = static_cast<std::byte *>(dst);
+  const auto *in = static_cast<const std::byte *>(src);
   if (plan.contiguous) {
-    // 1-D objects: block g is the whole object g (one copy per block,
-    // exactly as the whole-message contiguous path does).
     const auto bytes = static_cast<std::size_t>(sb.counts[0]);
-    auto *out = static_cast<std::byte *>(dst);
-    const auto *in = static_cast<const std::byte *>(src) + sb.start;
-    for (long long g = first_block; g < first_block + n_blocks; ++g) {
-      const vcuda::Error e = vcuda::MemcpyAsync(
-          out + (g - first_block) * sb.counts[0], in + g * extent, bytes,
-          vcuda::MemcpyKind::Default, stream);
-      if (e != vcuda::Error::Success) {
-        return e;
+    for (const Segment &s : segs) {
+      for (long long g = s.g0; g < s.g1; ++g) {
+        const long long obj = s.obj_offset + sb.start + g * extent;
+        const long long packed = s.packed_offset + (g - s.g0) * sb.counts[0];
+        const vcuda::Error e =
+            Pack ? vcuda::MemcpyAsync(out + packed, in + obj, bytes,
+                                      vcuda::MemcpyKind::Default, stream)
+                 : vcuda::MemcpyAsync(out + obj, in + packed, bytes,
+                                      vcuda::MemcpyKind::Default, stream);
+        if (e != vcuda::Error::Success) {
+          return e;
+        }
       }
     }
+    return vcuda::Error::Success;
+  }
+  const vcuda::LaunchConfig cfg = launch_config_for(plan, objects);
+  const vcuda::KernelCost cost =
+      blocks_cost(sb, blocks, Pack, space_of(src), space_of(dst));
+  const RowCopy rows = Pack ? plan.pack_rows : plan.unpack_rows;
+  return vcuda::LaunchKernel(
+      cfg, cost, stream,
+      [rows, &sb, extent, out, in, segs = std::move(segs)] {
+        const long long stride = row_stride(sb, extent);
+        const long long block = sb.block_bytes();
+        for (const Segment &s : segs) {
+          for_each_row_run(
+              sb, extent, s.g0, s.g1,
+              [&](long long o, long long p, long long n) {
+                if constexpr (Pack) {
+                  rows(out + s.packed_offset + p, in + s.obj_offset + o, n,
+                       stride, block);
+                } else {
+                  rows(out + s.obj_offset + o, in + s.packed_offset + p, n,
+                       stride, block);
+                }
+              });
+        }
+      });
+}
+
+template <bool Pack>
+vcuda::Error launch_whole(const PackPlan &plan, const StridedBlock &sb,
+                          long long extent, void *dst, const void *src,
+                          int count, vcuda::StreamHandle stream) {
+  assert(sb.ndims() >= 1);
+  const long long blocks = count * blocks_per_object(sb);
+  return launch_copy<Pack>(plan, sb, extent, dst, src, count, blocks,
+                           std::array{Segment{0, 0, 0, blocks}}, stream);
+}
+
+template <bool Pack>
+vcuda::Error launch_range(const PackPlan &plan, const StridedBlock &sb,
+                          long long extent, void *dst, const void *src,
+                          long long first_block, long long n_blocks,
+                          vcuda::StreamHandle stream) {
+  assert(first_block >= 0 && n_blocks >= 0);
+  if (n_blocks == 0) {
     return vcuda::Error::Success;
   }
   const long long per_obj = blocks_per_object(sb);
   const int eq_objs =
       static_cast<int>((n_blocks + per_obj - 1) / per_obj); // geometry only
-  const vcuda::LaunchConfig cfg = launch_config_for(plan, eq_objs);
-  const vcuda::KernelCost cost =
-      ranged_cost(sb, n_blocks, /*is_pack=*/true, space_of(src),
-                  space_of(dst));
-  auto *out = static_cast<std::byte *>(dst);
-  const auto *in = static_cast<const std::byte *>(src);
-  return vcuda::LaunchKernel(
-      cfg, cost, stream, [&sb, extent, first_block, n_blocks, out, in] {
-        for_each_kernel_block_range(
-            sb, extent, first_block, first_block + n_blocks,
-            [out, in](long long s, long long d, long long n) {
-              std::memcpy(out + d, in + s, static_cast<std::size_t>(n));
-            });
-      });
+  return launch_copy<Pack>(
+      plan, sb, extent, dst, src, eq_objs, n_blocks,
+      std::array{Segment{0, 0, first_block, first_block + n_blocks}}, stream);
+}
+
+/// A span table as walker segments (zero-count spans dropped), plus its
+/// total object count.
+std::vector<Segment> span_segments(const StridedBlock &sb,
+                                   std::span<const PackSpan> spans,
+                                   long long *objects) {
+  const long long per_obj = blocks_per_object(sb);
+  std::vector<Segment> segs;
+  segs.reserve(spans.size());
+  *objects = 0;
+  for (const PackSpan &s : spans) {
+    if (s.count > 0) {
+      segs.push_back({s.obj_offset, s.packed_offset, 0, s.count * per_obj});
+      *objects += s.count;
+    }
+  }
+  return segs;
+}
+
+int clamp_to_int(long long n) {
+  return static_cast<int>(
+      std::min<long long>(n, std::numeric_limits<int>::max()));
+}
+
+template <bool Pack>
+vcuda::Error launch_spans(const PackPlan &plan, const StridedBlock &sb,
+                          long long extent, void *dst, const void *src,
+                          std::span<const PackSpan> spans,
+                          vcuda::StreamHandle stream) {
+  long long objects = 0;
+  // The segments are moved into the launch closure: the kernel body must
+  // not reference caller-stack storage once enqueued.
+  std::vector<Segment> segs = span_segments(sb, spans, &objects);
+  if (objects == 0) {
+    return vcuda::Error::Success;
+  }
+  return launch_copy<Pack>(plan, sb, extent, dst, src, clamp_to_int(objects),
+                           objects * blocks_per_object(sb), std::move(segs),
+                           stream);
+}
+
+} // namespace
+
+vcuda::Error launch_pack(const PackPlan &plan, const StridedBlock &sb,
+                         long long extent, void *dst, const void *src,
+                         int count, vcuda::StreamHandle stream) {
+  return launch_whole<true>(plan, sb, extent, dst, src, count, stream);
+}
+
+vcuda::Error launch_unpack(const PackPlan &plan, const StridedBlock &sb,
+                           long long extent, void *dst, const void *src,
+                           int count, vcuda::StreamHandle stream) {
+  return launch_whole<false>(plan, sb, extent, dst, src, count, stream);
+}
+
+vcuda::Error launch_pack_range(const PackPlan &plan, const StridedBlock &sb,
+                               long long extent, void *dst, const void *src,
+                               long long first_block, long long n_blocks,
+                               vcuda::StreamHandle stream) {
+  return launch_range<true>(plan, sb, extent, dst, src, first_block, n_blocks,
+                            stream);
 }
 
 vcuda::Error launch_unpack_range(const PackPlan &plan, const StridedBlock &sb,
                                  long long extent, void *dst, const void *src,
                                  long long first_block, long long n_blocks,
                                  vcuda::StreamHandle stream) {
-  assert(first_block >= 0 && n_blocks >= 0);
-  if (n_blocks == 0) {
-    return vcuda::Error::Success;
-  }
-  if (plan.contiguous) {
-    const auto bytes = static_cast<std::size_t>(sb.counts[0]);
-    auto *out = static_cast<std::byte *>(dst) + sb.start;
-    const auto *in = static_cast<const std::byte *>(src);
-    for (long long g = first_block; g < first_block + n_blocks; ++g) {
-      const vcuda::Error e = vcuda::MemcpyAsync(
-          out + g * extent, in + (g - first_block) * sb.counts[0], bytes,
-          vcuda::MemcpyKind::Default, stream);
-      if (e != vcuda::Error::Success) {
-        return e;
-      }
-    }
-    return vcuda::Error::Success;
-  }
-  const long long per_obj = blocks_per_object(sb);
-  const int eq_objs = static_cast<int>((n_blocks + per_obj - 1) / per_obj);
-  const vcuda::LaunchConfig cfg = launch_config_for(plan, eq_objs);
-  const vcuda::KernelCost cost =
-      ranged_cost(sb, n_blocks, /*is_pack=*/false, space_of(src),
-                  space_of(dst));
-  auto *out = static_cast<std::byte *>(dst);
-  const auto *in = static_cast<const std::byte *>(src);
-  return vcuda::LaunchKernel(
-      cfg, cost, stream, [&sb, extent, first_block, n_blocks, out, in] {
-        for_each_kernel_block_range(
-            sb, extent, first_block, first_block + n_blocks,
-            [out, in](long long s, long long d, long long n) {
-              std::memcpy(out + s, in + d, static_cast<std::size_t>(n));
-            });
-      });
+  return launch_range<false>(plan, sb, extent, dst, src, first_block,
+                             n_blocks, stream);
 }
-
-namespace {
-
-/// Shared shape computation for a span table: total objects (geometry) and
-/// total packed bytes (cost). Zero-count spans contribute nothing.
-void span_totals(const StridedBlock &sb, std::span<const PackSpan> spans,
-                 long long *objects, std::size_t *bytes) {
-  *objects = 0;
-  *bytes = 0;
-  for (const PackSpan &s : spans) {
-    *objects += std::max(s.count, 0);
-  }
-  *bytes = static_cast<std::size_t>(*objects) *
-           static_cast<std::size_t>(sb.size());
-}
-
-} // namespace
 
 vcuda::Error launch_pack_spans(const PackPlan &plan, const StridedBlock &sb,
                                long long extent, void *dst, const void *src,
                                std::span<const PackSpan> spans,
                                vcuda::StreamHandle stream) {
-  long long objects = 0;
-  std::size_t bytes = 0;
-  span_totals(sb, spans, &objects, &bytes);
-  if (objects == 0) {
-    return vcuda::Error::Success;
-  }
-  auto *out = static_cast<std::byte *>(dst);
-  const auto *in = static_cast<const std::byte *>(src);
-  if (plan.contiguous) {
-    // 1-D objects: one async copy per object, continuing across spans —
-    // the same shape as launch_pack's contiguous path.
-    const auto blk = static_cast<std::size_t>(sb.counts[0]);
-    for (const PackSpan &s : spans) {
-      for (int i = 0; i < s.count; ++i) {
-        const vcuda::Error e = vcuda::MemcpyAsync(
-            out + s.packed_offset + static_cast<long long>(i) * sb.counts[0],
-            in + s.obj_offset + i * extent + sb.start, blk,
-            vcuda::MemcpyKind::Default, stream);
-        if (e != vcuda::Error::Success) {
-          return e;
-        }
-      }
-    }
-    return vcuda::Error::Success;
-  }
-  const int eq_objs = static_cast<int>(
-      std::min<long long>(objects, std::numeric_limits<int>::max()));
-  const vcuda::LaunchConfig cfg = launch_config_for(plan, eq_objs);
-  vcuda::KernelCost cost = pack_cost(sb, 1, space_of(src), space_of(dst));
-  cost.total_bytes = bytes;
-  // The table is copied into the launch closure: the kernel body must not
-  // reference caller-stack storage once enqueued.
-  std::vector<PackSpan> table(spans.begin(), spans.end());
-  return vcuda::LaunchKernel(
-      cfg, cost, stream, [&sb, extent, out, in, table = std::move(table)] {
-        for (const PackSpan &s : table) {
-          for_each_kernel_block(
-              sb, extent, s.count,
-              [out, in, &s](long long so, long long d, long long n) {
-                std::memcpy(out + s.packed_offset + d, in + s.obj_offset + so,
-                            static_cast<std::size_t>(n));
-              });
-        }
-      });
+  return launch_spans<true>(plan, sb, extent, dst, src, spans, stream);
 }
 
 vcuda::Error launch_unpack_spans(const PackPlan &plan, const StridedBlock &sb,
                                  long long extent, void *dst, const void *src,
                                  std::span<const PackSpan> spans,
                                  vcuda::StreamHandle stream) {
-  long long objects = 0;
-  std::size_t bytes = 0;
-  span_totals(sb, spans, &objects, &bytes);
-  if (objects == 0) {
-    return vcuda::Error::Success;
-  }
-  auto *out = static_cast<std::byte *>(dst);
-  const auto *in = static_cast<const std::byte *>(src);
-  if (plan.contiguous) {
-    const auto blk = static_cast<std::size_t>(sb.counts[0]);
-    for (const PackSpan &s : spans) {
-      for (int i = 0; i < s.count; ++i) {
-        const vcuda::Error e = vcuda::MemcpyAsync(
-            out + s.obj_offset + i * extent + sb.start,
-            in + s.packed_offset + static_cast<long long>(i) * sb.counts[0],
-            blk, vcuda::MemcpyKind::Default, stream);
-        if (e != vcuda::Error::Success) {
-          return e;
-        }
-      }
-    }
-    return vcuda::Error::Success;
-  }
-  const int eq_objs = static_cast<int>(
-      std::min<long long>(objects, std::numeric_limits<int>::max()));
-  const vcuda::LaunchConfig cfg = launch_config_for(plan, eq_objs);
-  vcuda::KernelCost cost = unpack_cost(sb, 1, space_of(src), space_of(dst));
-  cost.total_bytes = bytes;
-  std::vector<PackSpan> table(spans.begin(), spans.end());
-  return vcuda::LaunchKernel(
-      cfg, cost, stream, [&sb, extent, out, in, table = std::move(table)] {
-        for (const PackSpan &s : table) {
-          for_each_kernel_block(
-              sb, extent, s.count,
-              [out, in, &s](long long so, long long d, long long n) {
-                std::memcpy(out + s.obj_offset + so, in + s.packed_offset + d,
-                            static_cast<std::size_t>(n));
-              });
-        }
-      });
+  return launch_spans<false>(plan, sb, extent, dst, src, spans, stream);
 }
 
 namespace {
@@ -664,35 +670,36 @@ vcuda::Error launch_reduce_spans(ReduceOp op, ReduceWord word,
   const std::size_t wb = reduce_word_bytes(word);
   assert(sb.block_bytes() % static_cast<long long>(wb) == 0);
   long long objects = 0;
-  std::size_t bytes = 0;
-  span_totals(sb, spans, &objects, &bytes);
+  std::vector<Segment> segs = span_segments(sb, spans, &objects);
   if (objects == 0) {
     return vcuda::Error::Success;
   }
   auto *out = static_cast<std::byte *>(inout);
   const auto *src = static_cast<const std::byte *>(in);
-  const int eq_objs = static_cast<int>(
-      std::min<long long>(objects, std::numeric_limits<int>::max()));
+  const int eq_objs = clamp_to_int(objects);
   const vcuda::LaunchConfig cfg =
       plan.contiguous ? make_launch_config(sb, plan.word_size, eq_objs)
                       : launch_config_for(plan, eq_objs);
-  vcuda::KernelCost cost = unpack_cost(sb, 1, space_of(in), space_of(inout));
-  cost.total_bytes = bytes;
-  cost.reduce_ops = bytes / wb;
-  // The table is copied into the launch closure: the kernel body must not
-  // reference caller-stack storage once enqueued.
-  std::vector<PackSpan> table(spans.begin(), spans.end());
+  vcuda::KernelCost cost =
+      blocks_cost(sb, objects * blocks_per_object(sb), /*is_pack=*/false,
+                  space_of(in), space_of(inout));
+  cost.reduce_ops = cost.total_bytes / wb;
   return vcuda::LaunchKernel(
       cfg, cost, stream,
-      [op, word, &sb, extent, out, src, table = std::move(table)] {
-        for (const PackSpan &s : table) {
-          for_each_kernel_block(
-              sb, extent, s.count,
-              [op, word, out, src, &s](long long so, long long d,
-                                       long long n) {
-                combine_bytes(op, word, out + s.obj_offset + so,
-                              src + s.packed_offset + d,
-                              static_cast<std::size_t>(n));
+      [op, word, &sb, extent, out, src, segs = std::move(segs)] {
+        const long long stride = row_stride(sb, extent);
+        const long long block = sb.block_bytes();
+        for (const Segment &s : segs) {
+          for_each_row_run(
+              sb, extent, s.g0, s.g1,
+              [&](long long o, long long p, long long n) {
+                std::byte *acc = out + s.obj_offset + o;
+                const std::byte *val = src + s.packed_offset + p;
+                for (long long r = 0; r < n;
+                     ++r, acc += stride, val += block) {
+                  combine_bytes(op, word, acc, val,
+                                static_cast<std::size_t>(block));
+                }
               });
         }
       });

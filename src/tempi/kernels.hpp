@@ -12,6 +12,14 @@
 // then covers the object. Each kernel is specialized on a word size W, the
 // widest GPU-native type (16/8/4/2/1 bytes) that divides the contiguous
 // block length and the object's alignment.
+//
+// The kernel bodies execute on the host, so their copy loop is specialized
+// once too: make_pack_plan freezes a row copy per direction in the
+// PackPlan (a compile-time block size for power-of-two blocks up to 256 B,
+// compile-time W-byte words for other blocks up to 256 B, libc memcpy
+// above). Every body — whole-object, ranged, span and reduce-span — walks
+// its blocks with one walker that decomposes the first block once and
+// hands the row copy runs of consecutive dimension-1 rows.
 #pragma once
 
 #include "tempi/strided_block.hpp"
@@ -32,16 +40,27 @@ int select_word_size(const StridedBlock &sb);
 vcuda::LaunchConfig make_launch_config(const StridedBlock &sb, int word_size,
                                        int count);
 
+/// Copies `rows` blocks of `block` bytes between an object side whose rows
+/// sit `stride` bytes apart and a dense packed side: `src` is the object
+/// side for a pack, `dst` for an unpack.
+using RowCopy = void (*)(std::byte *dst, const std::byte *src, long long rows,
+                         long long stride, long long block);
+
 /// Per-datatype launch plan, precomputed once at MPI_Type_commit (Sec. 5:
 /// cached per-datatype resources amortize to "tens or hundreds of
 /// nanoseconds"). The hot-path launch is table-driven: the only dynamic
 /// parameter left is the object count of the MPI call, which 2-D kernels
-/// absorb in grid Z.
+/// absorb in grid Z. The kernel body's row copy is frozen here as well, so
+/// a launch makes no per-block size decision.
 struct PackPlan {
   int word_size = 1;              ///< frozen select_word_size(sb)
   vcuda::LaunchConfig config;     ///< geometry template for count == 1
   bool grid_z_per_object = false; ///< 2-D: grid Z scales with the count
   bool contiguous = false;        ///< 1-D object: MemcpyAsync per object
+  /// Row copies specialized on the block size and word size (null for
+  /// contiguous plans, which launch no kernel).
+  RowCopy pack_rows = nullptr;
+  RowCopy unpack_rows = nullptr;
 
   // cudaMemcpy2D (DMA-engine) parameters, valid for 2-D blocks only.
   bool dma_capable = false;
