@@ -145,14 +145,15 @@ void BM_ModelChoose(benchmark::State &state) {
 BENCHMARK(BM_ModelChoose);
 
 // Host cost of the pack kernel body: one 1 MiB object of `block`-byte rows
-// at a 2 * block pitch, packed device-to-device. The modeled device time
-// is irrelevant here; the wall time is the CPU executing the kernel body.
+// at a 2 * block + pad pitch, packed device-to-device. An odd pad makes
+// the rows misaligned (word size 1). The modeled device time is
+// irrelevant here; the wall time is the CPU executing the kernel body.
 void BM_PackHost(benchmark::State &state) {
   constexpr long long kObjectBytes = 1 << 20;
   const long long block = state.range(0);
   tempi::StridedBlock sb;
   sb.counts = {block, kObjectBytes / block};
-  sb.strides = {1, 2 * block};
+  sb.strides = {1, 2 * block + state.range(1)};
   const long long extent = sb.counts[1] * sb.strides[1];
   const tempi::Packer packer(sb, extent, sb.size());
   void *obj = nullptr, *flat = nullptr;
@@ -169,9 +170,11 @@ void BM_PackHost(benchmark::State &state) {
   vcuda::Free(obj);
 }
 BENCHMARK(BM_PackHost)
-    ->ArgName("block")
-    ->Arg(1)->Arg(2)->Arg(3)->Arg(8)->Arg(12)->Arg(24)->Arg(64)->Arg(100)
-    ->Arg(256)->Arg(1024)->Arg(4096);
+    ->ArgNames({"block", "pad"})
+    ->ArgsProduct({{1, 2, 3, 8, 12, 24, 64, 100, 256, 1024, 4096}, {0}})
+    ->Args({63, 1})
+    ->Args({64, 1})
+    ->Args({100, 1});
 
 } // namespace
 

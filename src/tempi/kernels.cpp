@@ -98,32 +98,56 @@ vcuda::MemorySpace governing_space(vcuda::MemorySpace a,
   return vcuda::MemorySpace::Device;
 }
 
+/// Blocks (dimension-0 rows) per object: the packed stream is the
+/// concatenation of these blocks in dimension-1-fastest order, so a
+/// global block index addresses any aligned sub-range of the stream.
+long long blocks_per_object(const StridedBlock &sb) {
+  long long n = 1;
+  for (int d = 1; d < sb.ndims(); ++d) {
+    n *= sb.counts[static_cast<std::size_t>(d)];
+  }
+  return n;
+}
+
+/// The one cost formula of every pack/unpack launch, priced by block
+/// count so whole-object, ranged and span launches share it (cost scales
+/// with bytes). The strided side is the source of a pack and the
+/// destination of an unpack.
+vcuda::KernelCost blocks_cost(const StridedBlock &sb, long long n_blocks,
+                              bool is_pack, vcuda::MemorySpace src_space,
+                              vcuda::MemorySpace dst_space) {
+  vcuda::KernelCost cost;
+  cost.total_bytes =
+      static_cast<std::size_t>(n_blocks) * static_cast<std::size_t>(
+                                               sb.block_bytes());
+  const bool strided = sb.ndims() > 1;
+  const vcuda::MemorySpace gov = governing_space(src_space, dst_space);
+  const std::size_t stride_block =
+      strided ? static_cast<std::size_t>(sb.block_bytes()) : 0;
+  if (is_pack) {
+    cost.src = {stride_block, /*is_write=*/false, gov};
+    cost.dst = {0, /*is_write=*/true, gov};
+  } else {
+    cost.src = {0, /*is_write=*/false, gov};
+    cost.dst = {stride_block, /*is_write=*/true, gov};
+  }
+  return cost;
+}
+
 } // namespace
 
 vcuda::KernelCost pack_cost(const StridedBlock &sb, int count,
                             vcuda::MemorySpace src_space,
                             vcuda::MemorySpace dst_space) {
-  vcuda::KernelCost cost;
-  cost.total_bytes = static_cast<std::size_t>(sb.size()) * count;
-  const bool strided = sb.ndims() > 1;
-  const vcuda::MemorySpace gov = governing_space(src_space, dst_space);
-  cost.src = {strided ? static_cast<std::size_t>(sb.block_bytes()) : 0,
-              /*is_write=*/false, gov};
-  cost.dst = {0, /*is_write=*/true, gov};
-  return cost;
+  return blocks_cost(sb, count * blocks_per_object(sb), /*is_pack=*/true,
+                     src_space, dst_space);
 }
 
 vcuda::KernelCost unpack_cost(const StridedBlock &sb, int count,
                               vcuda::MemorySpace src_space,
                               vcuda::MemorySpace dst_space) {
-  vcuda::KernelCost cost;
-  cost.total_bytes = static_cast<std::size_t>(sb.size()) * count;
-  const bool strided = sb.ndims() > 1;
-  const vcuda::MemorySpace gov = governing_space(src_space, dst_space);
-  cost.src = {0, /*is_write=*/false, gov};
-  cost.dst = {strided ? static_cast<std::size_t>(sb.block_bytes()) : 0,
-              /*is_write=*/true, gov};
-  return cost;
+  return blocks_cost(sb, count * blocks_per_object(sb), /*is_pack=*/false,
+                     src_space, dst_space);
 }
 
 namespace {
@@ -152,30 +176,7 @@ void copy_rows_fixed(std::byte *dst, const std::byte *src, long long rows,
                  });
 }
 
-/// Tier 2: any other block of at most 256 B, copied as W-byte words (the
-/// kernel's word size, which divides the block). Blocks of at least
-/// kChunkedBlock bytes move whole 32 B chunks first and finish with words;
-/// below that the plain word loop is faster.
-template <bool Pack, std::size_t W, bool Chunked>
-void copy_rows_words(std::byte *dst, const std::byte *src, long long rows,
-                     long long stride, long long block) {
-  constexpr long long kChunk = 32;
-  const long long chunked = Chunked ? block / kChunk * kChunk : 0;
-  each_row<Pack>(dst, src, rows, stride, block,
-                 [block, chunked](std::byte *d, const std::byte *s) {
-                   long long i = 0;
-                   if constexpr (Chunked) {
-                     for (; i < chunked; i += kChunk) {
-                       std::memcpy(d + i, s + i, kChunk);
-                     }
-                   }
-                   for (; i < block; i += static_cast<long long>(W)) {
-                     std::memcpy(d + i, s + i, W);
-                   }
-                 });
-}
-
-/// Tier 3: larger blocks, one libc memcpy per row.
+/// Tier 2: any other block, one libc memcpy per row.
 template <bool Pack>
 void copy_rows_memcpy(std::byte *dst, const std::byte *src, long long rows,
                       long long stride, long long block) {
@@ -186,34 +187,21 @@ void copy_rows_memcpy(std::byte *dst, const std::byte *src, long long rows,
 }
 
 constexpr long long kMaxSpecializedBlock = 256;
-constexpr long long kChunkedBlock = 64;
 
-/// Row copy for blocks of `block` bytes moving `word_size`-byte words.
-template <bool Pack>
-RowCopy select_row_copy(long long block, int word_size) {
-  // Indexed by log2 of the block (tier 1) or of the word (tier 2).
+/// Row copy for blocks of `block` bytes.
+template <bool Pack> RowCopy select_row_copy(long long block) {
+  // Indexed by log2 of the block.
   static constexpr RowCopy fixed[] = {
       copy_rows_fixed<Pack, 1>,  copy_rows_fixed<Pack, 2>,
       copy_rows_fixed<Pack, 4>,  copy_rows_fixed<Pack, 8>,
       copy_rows_fixed<Pack, 16>, copy_rows_fixed<Pack, 32>,
       copy_rows_fixed<Pack, 64>, copy_rows_fixed<Pack, 128>,
       copy_rows_fixed<Pack, 256>};
-  static constexpr RowCopy words[2][5] = {
-      {copy_rows_words<Pack, 1, false>, copy_rows_words<Pack, 2, false>,
-       copy_rows_words<Pack, 4, false>, copy_rows_words<Pack, 8, false>,
-       copy_rows_words<Pack, 16, false>},
-      {copy_rows_words<Pack, 1, true>, copy_rows_words<Pack, 2, true>,
-       copy_rows_words<Pack, 4, true>, copy_rows_words<Pack, 8, true>,
-       copy_rows_words<Pack, 16, true>}};
-  if (block < 1 || block > kMaxSpecializedBlock) {
+  const auto b = static_cast<unsigned long long>(block);
+  if (block < 1 || block > kMaxSpecializedBlock || !std::has_single_bit(b)) {
     return copy_rows_memcpy<Pack>;
   }
-  const auto b = static_cast<unsigned long long>(block);
-  if (std::has_single_bit(b)) {
-    return fixed[std::countr_zero(b)];
-  }
-  return words[block >= kChunkedBlock]
-              [std::countr_zero(static_cast<unsigned>(word_size))];
+  return fixed[std::countr_zero(b)];
 }
 
 } // namespace
@@ -226,8 +214,8 @@ PackPlan make_pack_plan(const StridedBlock &sb, long long extent) {
   }
   plan.word_size = select_word_size(sb);
   plan.config = make_launch_config(sb, plan.word_size, 1);
-  plan.pack_rows = select_row_copy<true>(sb.block_bytes(), plan.word_size);
-  plan.unpack_rows = select_row_copy<false>(sb.block_bytes(), plan.word_size);
+  plan.pack_rows = select_row_copy<true>(sb.block_bytes());
+  plan.unpack_rows = select_row_copy<false>(sb.block_bytes());
   plan.grid_z_per_object = sb.ndims() == 2;
   if (sb.ndims() == 2) {
     plan.dma_capable = true;
@@ -250,17 +238,6 @@ vcuda::LaunchConfig launch_config_for(const PackPlan &plan, int count) {
 }
 
 namespace {
-
-/// Blocks (dimension-0 rows) per object: the packed stream is the
-/// concatenation of these blocks in dimension-1-fastest order, so a
-/// global block index addresses any aligned sub-range of the stream.
-long long blocks_per_object(const StridedBlock &sb) {
-  long long n = 1;
-  for (int d = 1; d < sb.ndims(); ++d) {
-    n *= sb.counts[static_cast<std::size_t>(d)];
-  }
-  return n;
-}
 
 /// Object-side byte distance between the rows of one run.
 long long row_stride(const StridedBlock &sb, long long extent) {
@@ -337,29 +314,6 @@ struct Segment {
   long long g0 = 0;
   long long g1 = 0;
 };
-
-/// pack_cost/unpack_cost priced by block count, so whole-object, ranged
-/// and span launches share one formula (cost scales with bytes).
-vcuda::KernelCost blocks_cost(const StridedBlock &sb, long long n_blocks,
-                              bool is_pack, vcuda::MemorySpace src_space,
-                              vcuda::MemorySpace dst_space) {
-  vcuda::KernelCost cost;
-  cost.total_bytes =
-      static_cast<std::size_t>(n_blocks) * static_cast<std::size_t>(
-                                               sb.block_bytes());
-  const bool strided = sb.ndims() > 1;
-  const vcuda::MemorySpace gov = governing_space(src_space, dst_space);
-  const std::size_t stride_block =
-      strided ? static_cast<std::size_t>(sb.block_bytes()) : 0;
-  if (is_pack) {
-    cost.src = {stride_block, /*is_write=*/false, gov};
-    cost.dst = {0, /*is_write=*/true, gov};
-  } else {
-    cost.src = {0, /*is_write=*/false, gov};
-    cost.dst = {stride_block, /*is_write=*/true, gov};
-  }
-  return cost;
-}
 
 /// Shared body of every pack/unpack launch. A 1-D (contiguous) plan issues
 /// one async copy per object (Sec. 3.3; global block g is object g).

@@ -16,10 +16,10 @@
 // The kernel bodies execute on the host, so their copy loop is specialized
 // once too: make_pack_plan freezes a row copy per direction in the
 // PackPlan (a compile-time block size for power-of-two blocks up to 256 B,
-// compile-time W-byte words for other blocks up to 256 B, libc memcpy
-// above). Every body — whole-object, ranged, span and reduce-span — walks
-// its blocks with one walker that decomposes the first block once and
-// hands the row copy runs of consecutive dimension-1 rows.
+// libc memcpy for every other block). Every body — whole-object, ranged,
+// span and reduce-span — walks its blocks with one walker that decomposes
+// the first block once and hands the row copy runs of consecutive
+// dimension-1 rows.
 #pragma once
 
 #include "tempi/strided_block.hpp"
@@ -57,8 +57,8 @@ struct PackPlan {
   vcuda::LaunchConfig config;     ///< geometry template for count == 1
   bool grid_z_per_object = false; ///< 2-D: grid Z scales with the count
   bool contiguous = false;        ///< 1-D object: MemcpyAsync per object
-  /// Row copies specialized on the block size and word size (null for
-  /// contiguous plans, which launch no kernel).
+  /// Row copies specialized on the block size (null for contiguous plans,
+  /// which launch no kernel).
   RowCopy pack_rows = nullptr;
   RowCopy unpack_rows = nullptr;
 

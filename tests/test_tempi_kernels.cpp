@@ -125,8 +125,8 @@ TEST(KernelCostShape, ContiguousObjectHasNoStridedSide) {
 using testing_helpers::fill_pattern;
 using testing_helpers::SpaceBuffer;
 
-/// Block sizes covering every row-copy tier: powers of two up to 256, other
-/// sizes up to 256 with word sizes 1/4/8/16, and sizes above 256.
+/// Block sizes covering both row-copy tiers (powers of two up to 256 and
+/// everything else) with word sizes 1 to 16.
 constexpr long long kBlockBytes[] = {1,  2,  3,  4,   5,   8,   12,  16,  24,
                                      32, 48, 64, 100, 128, 256, 257, 1024};
 
