@@ -284,7 +284,7 @@ int main() {
   tempi::tune::set_enabled(false);
   const double obs_off = best_wall3(observe_once);
   tempi::tune::set_enabled(true);
-  tempi::tune::reset_counters(); // the synthetic folds are not real samples
+  tempi::trace::reset_counters(); // the synthetic folds are not real samples
   std::printf("tuner observation (wall clock):\n");
   std::printf("  TEMPI_TUNE=1 fold:  %6.1f ns/call  (budget: 50)\n", obs_on);
   std::printf("  TEMPI_TUNE=0 check: %6.1f ns/call  (one relaxed load)\n\n",

@@ -131,14 +131,21 @@ struct Pool {
   /// channel memo that keeps steady-state MPI_Start/Wait replay lock-free.
   std::atomic<std::uint64_t> channel_gen{1};
 
-  trace::Counter isends{"tempi.engine.isends"};
-  trace::Counter irecvs{"tempi.engine.irecvs"};
+  // Monotonic, process-wide engine counters.
+  trace::Counter isends{"tempi.engine.isends"}; ///< accelerated sends started
+  trace::Counter irecvs{"tempi.engine.irecvs"}; ///< accelerated recvs started
+  /// Ops retired through Wait/Test.
   trace::Counter completions{"tempi.engine.completions"};
+  /// Waitall batches that shared one stream sync.
   trace::Counter batched_syncs{"tempi.engine.batched_syncs"};
 
+  /// Persistent channels created (accelerated Send_init/Recv_init).
   trace::Counter p_inits{"tempi.persistent.inits"};
+  /// Start/Startall arms on channels.
   trace::Counter p_starts{"tempi.persistent.starts"};
+  /// Arms/completions served by a pre-recorded replay program.
   trace::Counter p_replays{"tempi.persistent.replays"};
+  /// vcuda graph launches issued by channel replays.
   trace::Counter p_graph_launches{"tempi.persistent.graph_launches"};
 
   Pool() { resize(kDefaultShards); }
@@ -1095,24 +1102,6 @@ std::size_t persistent_open() {
   return n;
 }
 
-PersistentStats persistent_stats() {
-  Pool &p = pool();
-  return PersistentStats{
-      p.p_inits.value(),
-      p.p_starts.value(),
-      p.p_replays.value(),
-      p.p_graph_launches.value(),
-  };
-}
-
-void reset_persistent_stats() {
-  Pool &p = pool();
-  p.p_inits.reset();
-  p.p_starts.reset();
-  p.p_replays.reset();
-  p.p_graph_launches.reset();
-}
-
 bool owns(MPI_Request request) {
   if (request == MPI_REQUEST_NULL) {
     return false;
@@ -1664,24 +1653,6 @@ std::size_t drain(const interpose::MpiTable &next) {
         "); complete all requests before tempi::uninstall()");
   }
   return dropped;
-}
-
-EngineStats engine_stats() {
-  Pool &p = pool();
-  return EngineStats{
-      p.isends.value(),
-      p.irecvs.value(),
-      p.completions.value(),
-      p.batched_syncs.value(),
-  };
-}
-
-void reset_engine_stats() {
-  Pool &p = pool();
-  p.isends.reset();
-  p.irecvs.reset();
-  p.completions.reset();
-  p.batched_syncs.reset();
 }
 
 bool configure_shards(std::size_t n) {

@@ -25,10 +25,19 @@ namespace {
 
 std::atomic<bool> g_enabled{true};
 
+/// Process-wide engine counters, registered as tempi.coll.*.
 struct CollCounters {
+  /// Engine-serviced MPI_Alltoallv / MPI_Allgather / MPI_Gatherv calls
+  /// (the latter two reduce onto the same exchange core).
   trace::Counter alltoallv{"tempi.coll.alltoallv"};
+  /// Engine-serviced MPI_Neighbor_alltoallv calls.
   trace::Counter neighbor{"tempi.coll.neighbor"};
+  /// Interposed collective calls forwarded to the system path by the
+  /// shared fallthrough gate (engine disabled, forced-system mode, or no
+  /// accelerable side).
   trace::Counter fallback{"tempi.coll.fallback"};
+  /// Per-peer legs fanned out by engine-serviced calls: wire legs (packed
+  /// and typed-forwarded alike) plus self-exchange copies.
   trace::Counter peer_legs{"tempi.coll.peer_legs"};
 };
 
@@ -517,24 +526,6 @@ int allgather(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
   }
   const long long total = static_cast<long long>(recvcount) * size;
   return next.Bcast(recvbuf, static_cast<int>(total), recvtype, 0, comm);
-}
-
-CollStats coll_stats() {
-  const CollCounters &c = counters();
-  return CollStats{
-      c.alltoallv.value(),
-      c.neighbor.value(),
-      c.fallback.value(),
-      c.peer_legs.value(),
-  };
-}
-
-void reset_coll_stats() {
-  CollCounters &c = counters();
-  c.alltoallv.reset();
-  c.neighbor.reset();
-  c.fallback.reset();
-  c.peer_legs.reset();
 }
 
 void note_fallback() { counters().fallback.add(); }

@@ -224,10 +224,25 @@ int recv_with_method(const Packer &packer, Method m, void *buf, int count,
 
 // --- the Pipelined (chunked) method ------------------------------------------
 
+namespace {
+
+/// Process-wide Pipelined counters, registered as tempi.pipeline.*.
+struct PipelineCounters {
+  trace::Counter sends{"tempi.pipeline.sends"};  ///< pipelined sends
+  trace::Counter recvs{"tempi.pipeline.recvs"};  ///< pipelined receives
+  /// Wire legs issued (both sides, terminators included).
+  trace::Counter chunks{"tempi.pipeline.chunks"};
+  /// Packed bytes carried by sends larger than the wire-chunk limit —
+  /// traffic that used to fail with MPI_ERR_COUNT.
+  trace::Counter over_ceiling_bytes{"tempi.pipeline.over_ceiling_bytes"};
+};
+
 PipelineCounters &pipeline_counters() {
   static PipelineCounters c;
   return c;
 }
+
+} // namespace
 
 int plan_pipeline_frame(std::size_t block_bytes, long long blocks,
                         std::size_t chunk_target, PipelineFrame *frame) {

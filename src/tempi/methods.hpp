@@ -23,7 +23,6 @@
 #include "tempi/buffer_cache.hpp"
 #include "tempi/packer.hpp"
 #include "tempi/perf_model.hpp"
-#include "tempi/trace.hpp"
 
 #include <cstdint>
 #include <variant>
@@ -321,18 +320,5 @@ struct PipelinedSendProgram {
 int record_pipelined_send(const Packer &packer, const void *buf, int count,
                           std::size_t chunk_target,
                           PipelinedSendProgram *prog);
-
-/// Process-wide Pipelined counters, registered as tempi.pipeline.* (read
-/// by tempi::send_stats()).
-struct PipelineCounters {
-  trace::Counter sends{"tempi.pipeline.sends"};  ///< pipelined sends
-  trace::Counter recvs{"tempi.pipeline.recvs"};  ///< pipelined receives
-  /// Wire legs issued (both sides, terminators included).
-  trace::Counter chunks{"tempi.pipeline.chunks"};
-  /// Packed bytes carried by sends larger than the wire-chunk limit —
-  /// traffic that used to fail with MPI_ERR_COUNT.
-  trace::Counter over_ceiling_bytes{"tempi.pipeline.over_ceiling_bytes"};
-};
-PipelineCounters &pipeline_counters();
 
 } // namespace tempi

@@ -343,22 +343,12 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::atomic<std::uint64_t> g_model_cache_hits{0};
-std::atomic<std::uint64_t> g_model_cache_misses{0};
+/// choose() cache traffic, aggregated over every PerfModel instance.
+/// Namespace-scope, so they are registered before any model exists.
+trace::Counter g_model_cache_hits{"tempi.model.cache_hits"};
+trace::Counter g_model_cache_misses{"tempi.model.cache_misses"};
 
 } // namespace
-
-ModelCacheStats model_cache_stats() {
-  return ModelCacheStats{
-      g_model_cache_hits.load(std::memory_order_relaxed),
-      g_model_cache_misses.load(std::memory_order_relaxed),
-  };
-}
-
-void reset_model_cache_stats() {
-  g_model_cache_hits.store(0, std::memory_order_relaxed);
-  g_model_cache_misses.store(0, std::memory_order_relaxed);
-}
 
 PerfModel::PerfModel(SystemPerf perf)
     : perf_(std::move(perf)), cache_(std::make_unique<ChoiceCache>()) {}
@@ -458,11 +448,11 @@ Method PerfModel::choose(std::size_t block_bytes,
   const std::uint64_t v = slot.load(std::memory_order_acquire);
   if ((v & ~std::uint64_t{0x7}) == tag && (v & 0x4u) != 0) {
     vcuda::this_thread_timeline().advance(kModelQueryCachedNs);
-    g_model_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    g_model_cache_hits.add();
     return static_cast<Method>(v & 0x3u);
   }
   vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  g_model_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  g_model_cache_misses.add();
   const auto b = static_cast<double>(block_bytes);
   const auto t = static_cast<double>(total_bytes);
   Method best = Method::Device;
@@ -509,7 +499,7 @@ TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
   const std::uint64_t v = slot.load(std::memory_order_acquire);
   if ((v & ~std::uint64_t{0x1FF}) == tag && (v & 0x4u) != 0) {
     vcuda::this_thread_timeline().advance(kModelQueryCachedNs);
-    g_model_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    g_model_cache_hits.add();
     const auto m = static_cast<Method>(v & 0x3u);
     const auto chunk_log2 = static_cast<unsigned>((v >> 3) & 0x3Fu);
     return TransferChoice{m, m == Method::Pipelined
@@ -517,7 +507,7 @@ TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
                                  : 0};
   }
   vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  g_model_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  g_model_cache_misses.add();
   // Above the wire-chunk limit no single leg can carry the message:
   // Pipelined is the only valid method, and the model's job is picking
   // its chunk size.
@@ -611,7 +601,7 @@ TransferChoice PerfModel::choose_leg(std::size_t leg_bytes, bool same_node,
   const std::uint64_t v = slot.load(std::memory_order_acquire);
   if ((v & ~std::uint64_t{0x1FF}) == tag && (v & 0x4u) != 0) {
     vcuda::this_thread_timeline().advance(kModelQueryCachedNs);
-    g_model_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    g_model_cache_hits.add();
     const auto m = static_cast<Method>(v & 0x3u);
     const auto chunk_log2 = static_cast<unsigned>((v >> 3) & 0x3Fu);
     return TransferChoice{m, m == Method::Pipelined
@@ -619,7 +609,7 @@ TransferChoice PerfModel::choose_leg(std::size_t leg_bytes, bool same_node,
                                  : 0};
   }
   vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  g_model_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  g_model_cache_misses.add();
   TransferChoice choice;
   if (leg_bytes > limit) {
     // Only multi-leg framing can carry this leg; the payload is already
@@ -694,10 +684,15 @@ std::atomic<std::uint64_t> g_refresh_gen{1};
 /// stall — the loser returns immediately.
 support::ContendedMutex g_refresh_mutex;
 
+/// Tuner counters, registered as tempi.model.*.
 struct TuneCounters {
+  /// Samples accepted by observe().
   trace::Counter observations{"tempi.model.observations"};
+  /// Knots (re)written into live tables.
   trace::Counter updates{"tempi.model.updates"};
+  /// Tuned-model swaps.
   trace::Counter generation_bumps{"tempi.model.generation_bumps"};
+  /// Persistent programs re-recorded after a swap.
   trace::Counter refreezes{"tempi.model.refreezes"};
 };
 
@@ -987,15 +982,6 @@ void note_refresh_applied() {
 
 void note_refreeze() { counters().refreezes.add(); }
 
-TunerStats stats() {
-  TunerStats s;
-  s.observations = counters().observations.value();
-  s.updates = counters().updates.value();
-  s.generation_bumps = counters().generation_bumps.value();
-  s.refreezes = counters().refreezes.value();
-  return s;
-}
-
 void reset() {
   for (auto &axis : g_cells_1d) {
     for (Cell &c : axis) {
@@ -1012,14 +998,6 @@ void reset() {
     }
   }
   g_drift_pending.store(false, std::memory_order_relaxed);
-  reset_counters();
-}
-
-void reset_counters() {
-  counters().observations.reset();
-  counters().updates.reset();
-  counters().generation_bumps.reset();
-  counters().refreezes.reset();
 }
 
 } // namespace tune

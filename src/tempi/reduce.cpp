@@ -33,12 +33,16 @@ namespace {
 std::atomic<bool> g_enabled{true};
 std::atomic<Schedule> g_forced{Schedule::Auto};
 
+/// Process-wide engine counters, registered as tempi.red.*.
 struct RedCounters {
-  trace::Counter allreduce{"tempi.red.allreduce"};
-  trace::Counter reduce{"tempi.red.reduce"};
+  trace::Counter allreduce{"tempi.red.allreduce"}; ///< engine Allreduce runs
+  trace::Counter reduce{"tempi.red.reduce"};       ///< engine Reduce runs
+  /// Engine Reduce_scatter and Reduce_scatter_block runs.
   trace::Counter reduce_scatter{"tempi.red.reduce_scatter"};
+  /// Calls forwarded to the system path.
   trace::Counter fallback{"tempi.red.fallback"};
-  trace::Counter peer_legs{"tempi.red.peer_legs"};
+  trace::Counter peer_legs{"tempi.red.peer_legs"}; ///< wire legs posted
+  /// Device combine kernels launched.
   trace::Counter kernel_launches{"tempi.red.kernel_launches"};
 };
 
@@ -1453,7 +1457,7 @@ int reduce_scatter_block(const void *sendbuf, void *recvbuf, int recvcount,
                                 next);
 }
 
-// --- knobs and stats ---------------------------------------------------------
+// --- knobs ----------------------------------------------------------------
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
@@ -1481,26 +1485,6 @@ void set_forced_schedule(Schedule s) {
 
 bool engine_shape_ok(MPI_Datatype datatype, MPI_Op op) {
   return resolve_shape(datatype, op).has_value();
-}
-
-RedStats red_stats() {
-  RedStats st;
-  st.allreduce = counters().allreduce.value();
-  st.reduce = counters().reduce.value();
-  st.reduce_scatter = counters().reduce_scatter.value();
-  st.fallback = counters().fallback.value();
-  st.peer_legs = counters().peer_legs.value();
-  st.kernel_launches = counters().kernel_launches.value();
-  return st;
-}
-
-void reset_red_stats() {
-  counters().allreduce.reset();
-  counters().reduce.reset();
-  counters().reduce_scatter.reset();
-  counters().fallback.reset();
-  counters().peer_legs.reset();
-  counters().kernel_launches.reset();
 }
 
 void note_fallback() { counters().fallback.add(); }

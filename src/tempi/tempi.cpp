@@ -88,8 +88,7 @@ struct State {
   std::atomic<bool> persistent_enabled{true};
 
   // Interposer counters live in the metrics registry (trace.hpp): each is
-  // a named self-registering atomic, and send_stats() below is a snapshot
-  // view over them rather than separate hand-maintained plumbing.
+  // a named self-registering atomic, read and reset by name.
   trace::Counter method_memo_hits{"tempi.model.memo_hits"};
   trace::Counter persistent_forwarded{"tempi.persistent.forwarded"};
 
@@ -1294,13 +1293,8 @@ void install() {
         return persistent_choice(&packer, buf, count);
       });
   // Observability: TEMPI_TRACE=<path> / TEMPI_STATS=1 arm the tracer and
-  // hook vcuda's device-op intervals; the perf-model choice cache keeps
-  // its own storage and is surfaced to the registry as gauges.
+  // hook vcuda's device-op intervals.
   trace::configure_from_env();
-  trace::register_gauge("tempi.model.cache_hits",
-                        [] { return model_cache_stats().hits; });
-  trace::register_gauge("tempi.model.cache_misses",
-                        [] { return model_cache_stats().misses; });
   // The audited-lock contention gauges (tempi.lock.*): each shared mutex
   // the hot path can reach exports its acquire count and how many of
   // those acquires found the lock held. A healthy thread-multiple run
@@ -1421,86 +1415,6 @@ std::shared_ptr<const Packer> find_packer(MPI_Datatype datatype) {
 
 const Packer *find_packer_fast(MPI_Datatype datatype) {
   return lookup_packer_fast(datatype);
-}
-
-SendStats send_stats() {
-  State &s = state();
-  const PipelineCounters &pipe = pipeline_counters();
-  const coll::CollStats coll = coll::coll_stats();
-  const async::PersistentStats pers = async::persistent_stats();
-  const tune::TunerStats tuner = tune::stats();
-  const topo::TopoStats topo = topo::topo_stats();
-  const red::RedStats red = red::red_stats();
-  return SendStats{
-      s.sends_oneshot.value(),
-      s.sends_device.value(),
-      s.sends_staged.value(),
-      s.sends_forwarded.value(),
-      s.isends_oneshot.value(),
-      s.isends_device.value(),
-      s.isends_staged.value(),
-      s.isends_forwarded.value(),
-      s.irecvs_accelerated.value(),
-      s.irecvs_forwarded.value(),
-      model_cache_stats().hits,
-      model_cache_stats().misses,
-      s.method_memo_hits.value(),
-      s.sends_pipelined.value(),
-      s.isends_pipelined.value(),
-      pipe.chunks.value(),
-      pipe.over_ceiling_bytes.value(),
-      coll.alltoallv,
-      coll.neighbor,
-      coll.fallback,
-      coll.peer_legs,
-      pers.inits,
-      pers.starts,
-      pers.replay_hits,
-      pers.graph_launches,
-      s.persistent_forwarded.value(),
-      tuner.observations,
-      tuner.updates,
-      tuner.generation_bumps,
-      tuner.refreezes,
-      topo.remaps,
-      topo.staggered_legs,
-      topo.intra_node_legs,
-      red.allreduce,
-      red.reduce,
-      red.reduce_scatter,
-      red.fallback,
-      red.peer_legs,
-      red.kernel_launches,
-  };
-}
-
-void reset_send_stats() {
-  State &s = state();
-  s.sends_oneshot.reset();
-  s.sends_device.reset();
-  s.sends_staged.reset();
-  s.sends_pipelined.reset();
-  s.sends_forwarded.reset();
-  s.isends_oneshot.reset();
-  s.isends_device.reset();
-  s.isends_staged.reset();
-  s.isends_pipelined.reset();
-  s.isends_forwarded.reset();
-  s.irecvs_accelerated.reset();
-  s.irecvs_forwarded.reset();
-  s.method_memo_hits.reset();
-  s.persistent_forwarded.reset();
-  reset_model_cache_stats();
-  PipelineCounters &pipe = pipeline_counters();
-  pipe.sends.reset();
-  pipe.recvs.reset();
-  pipe.chunks.reset();
-  pipe.over_ceiling_bytes.reset();
-  coll::reset_coll_stats();
-  async::reset_persistent_stats();
-  tune::reset_counters(); // counters only: learned cells survive
-  topo::reset_topo_stats();
-  red::reset_red_stats();
 }
 
 std::string model_calibration_source() { return state().calibration; }

@@ -17,9 +17,13 @@ namespace {
 
 std::atomic<bool> g_enabled{true};
 
+/// Process-wide scheduler counters, registered as tempi.topo.*.
 struct TopoCounters {
+  /// Rank adoptions of a remapped communicator.
   trace::Counter remaps{"tempi.topo.remaps"};
+  /// Legs issued off their slot order.
   trace::Counter staggered_legs{"tempi.topo.staggered_legs"};
+  /// Legs that never touch a NIC.
   trace::Counter intra_node_legs{"tempi.topo.intra_node_legs"};
 };
 
@@ -578,22 +582,6 @@ int dist_graph_create_adjacent(MPI_Comm comm_old, int indegree,
   counters().remaps.add();
   *comm_dist_graph = c;
   return MPI_SUCCESS;
-}
-
-TopoStats topo_stats() {
-  const TopoCounters &c = counters();
-  return TopoStats{
-      c.remaps.value(),
-      c.staggered_legs.value(),
-      c.intra_node_legs.value(),
-  };
-}
-
-void reset_topo_stats() {
-  TopoCounters &c = counters();
-  c.remaps.reset();
-  c.staggered_legs.reset();
-  c.intra_node_legs.reset();
 }
 
 } // namespace tempi::topo

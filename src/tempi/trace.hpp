@@ -23,11 +23,12 @@
 //     per-phase histogram trimeans (support::Sampler).
 //   - tempi::trace_snapshot() gives tests/benches programmatic access.
 //
-// The metrics registry half replaces hand-maintained counter plumbing:
-// trace::Counter is a named, self-registering atomic counter (State, the
-// request-engine Pool, PipelineCounters and CollCounters are all built
-// from it), and read-only sources register gauges. SendStats is assembled
-// as a snapshot view over the registry, so its consumers are unchanged.
+// The metrics registry half is the one counter mechanism: every counter
+// is a named, self-registering trace::Counter (interposer State, the
+// request engine, and each subsystem's counter struct are built from it),
+// and read-only sources register gauges. Tests, benches and the
+// TEMPI_STATS report read counters by name (counter_value /
+// counter_snapshot) and zero them with reset_counters().
 #pragma once
 
 #include "support/contended_mutex.hpp"
@@ -195,6 +196,12 @@ std::uint64_t counter_value(std::string_view name);
 
 /// All registered counters and gauges, name -> value, sorted by name.
 std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot();
+
+/// Zero every registered Counter. Gauges (read-only views of live state
+/// such as lock audits and leased buffers) and recorded spans (see
+/// reset()) are left alone. Tests/benches; safe only when no rank threads
+/// are counting.
+void reset_counters();
 
 // --- snapshot / export -------------------------------------------------------
 

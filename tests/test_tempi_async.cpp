@@ -9,6 +9,7 @@
 #include "tempi/async.hpp"
 #include "tempi/buffer_cache.hpp"
 #include "tempi/tempi.hpp"
+#include "tempi/trace.hpp"
 #include "halo/halo.hpp"
 #include "test_helpers.hpp"
 
@@ -23,6 +24,7 @@ namespace {
 using testing_helpers::fill_pattern;
 using testing_helpers::reference_pack;
 using testing_helpers::SpaceBuffer;
+using tempi::trace::counter_value;
 
 void run2(const std::function<void(int)> &body) {
   sysmpi::RunConfig cfg;
@@ -35,8 +37,7 @@ class TempiAsync : public ::testing::Test {
 protected:
   void SetUp() override {
     tempi::install();
-    tempi::reset_send_stats();
-    tempi::async::reset_engine_stats();
+    tempi::trace::reset_counters();
   }
   void TearDown() override {
     tempi::set_send_mode(tempi::SendMode::Auto);
@@ -106,12 +107,13 @@ TEST_F(TempiAsync, StagedMethodDeliversCorrectBytes) {
 
 TEST_F(TempiAsync, AutoDeliversCorrectBytesAndCountsNonBlocking) {
   isend_exchange_and_check(tempi::SendMode::Auto, 128, 2, 10);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.isend_oneshot + stats.isend_device + stats.isend_staged,
+  EXPECT_EQ(counter_value("tempi.isend.oneshot") +
+                counter_value("tempi.isend.device") +
+                counter_value("tempi.isend.staged"),
             1u);
-  EXPECT_EQ(stats.isend_forwarded, 0u);
-  EXPECT_EQ(stats.irecv_accelerated, 1u);
-  EXPECT_EQ(stats.irecv_forwarded, 0u);
+  EXPECT_EQ(counter_value("tempi.isend.forwarded"), 0u);
+  EXPECT_EQ(counter_value("tempi.irecv.accelerated"), 1u);
+  EXPECT_EQ(counter_value("tempi.irecv.forwarded"), 0u);
 }
 
 TEST_F(TempiAsync, WaitOnNullRequestSucceeds) {
@@ -329,7 +331,7 @@ TEST_F(TempiAsync, IntermediatesStayLeasedUntilCompletion) {
 TEST_F(TempiAsync, HaloIsendAutoSelectsNonSystemMethods) {
   // The acceptance criterion: the paper's halo exchange issued through
   // Isend/Irecv/Waitall must be accelerated under SendMode::Auto, observed
-  // through the non-blocking SendStats counters.
+  // through the non-blocking tempi.isend.* counters.
   halo::Config cfg;
   cfg.nx = cfg.ny = cfg.nz = 8;
   cfg.vals = 8;
@@ -350,19 +352,19 @@ TEST_F(TempiAsync, HaloIsendAutoSelectsNonSystemMethods) {
     vcuda::Free(grid);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.isend_oneshot + stats.isend_device + stats.isend_staged,
+  EXPECT_EQ(counter_value("tempi.isend.oneshot") +
+                counter_value("tempi.isend.device") +
+                counter_value("tempi.isend.staged"),
             26u);
-  EXPECT_EQ(stats.isend_forwarded, 0u);
-  EXPECT_EQ(stats.irecv_accelerated, 26u);
-  EXPECT_EQ(stats.irecv_forwarded, 0u);
+  EXPECT_EQ(counter_value("tempi.isend.forwarded"), 0u);
+  EXPECT_EQ(counter_value("tempi.irecv.accelerated"), 26u);
+  EXPECT_EQ(counter_value("tempi.irecv.forwarded"), 0u);
 
-  const tempi::async::EngineStats es = tempi::async::engine_stats();
-  EXPECT_EQ(es.isends, 26u);
-  EXPECT_EQ(es.irecvs, 26u);
-  EXPECT_EQ(es.completions, 52u);
+  EXPECT_EQ(counter_value("tempi.engine.isends"), 26u);
+  EXPECT_EQ(counter_value("tempi.engine.irecvs"), 26u);
+  EXPECT_EQ(counter_value("tempi.engine.completions"), 52u);
   // Waitall retired the 26 receives with batched stream syncs.
-  EXPECT_GE(es.batched_syncs, 1u);
+  EXPECT_GE(counter_value("tempi.engine.batched_syncs"), 1u);
   EXPECT_EQ(tempi::async::in_flight(), 0u);
 }
 

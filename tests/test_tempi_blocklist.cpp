@@ -6,6 +6,7 @@
 #include "sysmpi/world.hpp"
 #include "tempi/blocklist_packer.hpp"
 #include "tempi/tempi.hpp"
+#include "tempi/trace.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@ namespace {
 using testing_helpers::fill_pattern;
 using testing_helpers::reference_pack;
 using testing_helpers::SpaceBuffer;
+using tempi::trace::counter_value;
 
 MPI_Datatype committed_indexed() {
   const int blens[4] = {2, 1, 3, 2};
@@ -184,7 +186,7 @@ TEST_F(BlocklistInterposer, PackOnDeviceIsSingleKernel) {
 
 TEST_F(BlocklistInterposer, SendRecvRoundtripsIndexedGpuData) {
   tempi::set_blocklist_fallback(true);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   sysmpi::RunConfig cfg;
   cfg.ranks = 2;
   cfg.ranks_per_node = 1;
@@ -212,7 +214,8 @@ TEST_F(BlocklistInterposer, SendRecvRoundtripsIndexedGpuData) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  EXPECT_EQ(tempi::send_stats().device, 1u); // blocklist ships via device
+  // Blocklist sends always ship via the device method.
+  EXPECT_EQ(counter_value("tempi.send.device"), 1u);
 }
 
 TEST_F(BlocklistInterposer, FasterThanBaselineForManyBlocks) {

@@ -4,6 +4,7 @@
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/tempi.hpp"
+#include "tempi/trace.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@ namespace {
 using testing_helpers::fill_pattern;
 using testing_helpers::reference_pack;
 using testing_helpers::SpaceBuffer;
+using tempi::trace::counter_value;
 
 void run2(const std::function<void(int)> &body) {
   sysmpi::RunConfig cfg;
@@ -110,21 +112,21 @@ TEST_F(TempiSend, SystemModeStillCorrectJustSlow) {
 }
 
 TEST_F(TempiSend, AutoPicksOneShotForSmallObjects) {
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   // ~1 KiB object with 64 B blocks: the small-object regime.
   exchange_and_check(tempi::SendMode::Auto, 16, 16, 32);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.oneshot, 2u); // warm-up + measured round
-  EXPECT_EQ(stats.device, 0u);
+  // Warm-up + measured round.
+  EXPECT_EQ(counter_value("tempi.send.oneshot"), 2u);
+  EXPECT_EQ(counter_value("tempi.send.device"), 0u);
 }
 
 TEST_F(TempiSend, AutoPicksDeviceForLargeSmallBlockObjects) {
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   // 4 MiB object of 4 B blocks: the large/fragmented regime.
   exchange_and_check(tempi::SendMode::Auto, 1 << 20, 1, 4);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.device, 2u); // warm-up + measured round
-  EXPECT_EQ(stats.oneshot, 0u);
+  // Warm-up + measured round.
+  EXPECT_EQ(counter_value("tempi.send.device"), 2u);
+  EXPECT_EQ(counter_value("tempi.send.oneshot"), 0u);
 }
 
 TEST_F(TempiSend, AutoTracksTheFasterForcedMethod) {
@@ -164,7 +166,7 @@ TEST_F(TempiSend, LatencyFloorIsTensOfMicroseconds) {
 }
 
 TEST_F(TempiSend, ContiguousTypesForwardToSystem) {
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   run2([&](int rank) {
     MPI_Init(nullptr, nullptr);
     MPI_Datatype t = nullptr;
@@ -180,13 +182,15 @@ TEST_F(TempiSend, ContiguousTypesForwardToSystem) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.forwarded, 1u);
-  EXPECT_EQ(stats.oneshot + stats.device + stats.staged, 0u);
+  EXPECT_EQ(counter_value("tempi.send.forwarded"), 1u);
+  EXPECT_EQ(counter_value("tempi.send.oneshot") +
+                counter_value("tempi.send.device") +
+                counter_value("tempi.send.staged"),
+            0u);
 }
 
 TEST_F(TempiSend, HostBuffersForwardToSystem) {
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   run2([&](int rank) {
     MPI_Init(nullptr, nullptr);
     MPI_Datatype t = nullptr;
@@ -202,7 +206,7 @@ TEST_F(TempiSend, HostBuffersForwardToSystem) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  EXPECT_EQ(tempi::send_stats().forwarded, 1u);
+  EXPECT_EQ(counter_value("tempi.send.forwarded"), 1u);
 }
 
 TEST_F(TempiSend, MultiCountObjectsArriveIntact) {

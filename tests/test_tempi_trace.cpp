@@ -2,10 +2,11 @@
 // nesting/ordering across the async engine, ring-buffer wraparound drops,
 // concurrent emits from plain threads, the Chrome trace-event export's
 // structure, the disabled path's no-allocation guarantee, flush()
-// idempotence, and the counter registry's equality with the legacy
-// SendStats snapshot view.
+// idempotence, and the counter registry: unique names covering everything
+// perfbench reads, and reset_counters() zeroing counters but not gauges.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/buffer_cache.hpp"
 #include "tempi/tempi.hpp"
 #include "tempi/trace.hpp"
 #include "vcuda/runtime.hpp"
@@ -14,10 +15,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -43,7 +46,7 @@ class TempiTrace : public ::testing::Test {
 protected:
   void SetUp() override {
     tempi::install();
-    tempi::reset_send_stats();
+    trace::reset_counters();
     trace::reset();
     trace::set_enabled(true);
   }
@@ -246,9 +249,11 @@ TEST_F(TempiTrace, FlushIsIdempotentPerGeneration) {
   std::remove(path.c_str());
 }
 
-TEST_F(TempiTrace, CounterRegistryMatchesSendStats) {
-  // Drive every counter family: a blocking send round, an Isend/Irecv
-  // round, and a persistent round.
+/// One short program over every counter family, all on device buffers:
+/// a blocking Send/Recv and a persistent round on 2 ranks, an Isend/Irecv
+/// round, then a ring MPI_Neighbor_alltoallv and an MPI_Allreduce on 4
+/// ranks over 2 nodes.
+void drive_every_family() {
   run2([](int rank) {
     MPI_Init(nullptr, nullptr);
     MPI_Datatype t = make_vec(64, 64, 128);
@@ -275,57 +280,137 @@ TEST_F(TempiTrace, CounterRegistryMatchesSendStats) {
     MPI_Finalize();
   });
   isend_round();
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 4;
+  cfg.ranks_per_node = 2;
+  sysmpi::run_ranks(cfg, [](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = make_vec(16, 8, 16);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    const auto bytes = static_cast<std::size_t>(extent);
+    void *sbuf = nullptr;
+    void *rbuf = nullptr;
+    vcuda::Malloc(&sbuf, bytes);
+    vcuda::Malloc(&rbuf, bytes);
+    std::memset(sbuf, 0, bytes);
+    const int left = (rank + 3) % 4;
+    const int right = (rank + 1) % 4;
+    MPI_Comm ring = MPI_COMM_NULL;
+    MPI_Dist_graph_create_adjacent(MPI_COMM_WORLD, 1, &left, nullptr, 1,
+                                   &right, nullptr, MPI_INFO_NULL, 0, &ring);
+    const int one = 1;
+    const int zero = 0;
+    EXPECT_EQ(MPI_Neighbor_alltoallv(sbuf, &one, &zero, t, rbuf, &one, &zero,
+                                     t, ring),
+              MPI_SUCCESS);
+    EXPECT_EQ(MPI_Allreduce(sbuf, rbuf, 8, MPI_INT, MPI_SUM, MPI_COMM_WORLD),
+              MPI_SUCCESS);
+    MPI_Comm_free(&ring);
+    vcuda::Free(sbuf);
+    vcuda::Free(rbuf);
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+}
 
-  const tempi::SendStats s = tempi::send_stats();
-  const auto reg = [](const char *name) {
-    return trace::counter_value(name);
-  };
-  EXPECT_EQ(s.oneshot, reg("tempi.send.oneshot"));
-  EXPECT_EQ(s.device, reg("tempi.send.device"));
-  EXPECT_EQ(s.staged, reg("tempi.send.staged"));
-  EXPECT_EQ(s.forwarded, reg("tempi.send.forwarded"));
-  EXPECT_EQ(s.pipelined, reg("tempi.send.pipelined"));
-  EXPECT_EQ(s.isend_oneshot, reg("tempi.isend.oneshot"));
-  EXPECT_EQ(s.isend_device, reg("tempi.isend.device"));
-  EXPECT_EQ(s.isend_staged, reg("tempi.isend.staged"));
-  EXPECT_EQ(s.isend_forwarded, reg("tempi.isend.forwarded"));
-  EXPECT_EQ(s.isend_pipelined, reg("tempi.isend.pipelined"));
-  EXPECT_EQ(s.irecv_accelerated, reg("tempi.irecv.accelerated"));
-  EXPECT_EQ(s.irecv_forwarded, reg("tempi.irecv.forwarded"));
-  EXPECT_EQ(s.model_cache_hits, reg("tempi.model.cache_hits"));
-  EXPECT_EQ(s.model_cache_misses, reg("tempi.model.cache_misses"));
-  EXPECT_EQ(s.method_memo_hits, reg("tempi.model.memo_hits"));
-  EXPECT_EQ(s.pipeline_chunks, reg("tempi.pipeline.chunks"));
-  EXPECT_EQ(s.pipeline_over_ceiling_bytes,
-            reg("tempi.pipeline.over_ceiling_bytes"));
-  EXPECT_EQ(s.coll_alltoallv, reg("tempi.coll.alltoallv"));
-  EXPECT_EQ(s.coll_neighbor, reg("tempi.coll.neighbor"));
-  EXPECT_EQ(s.coll_fallback, reg("tempi.coll.fallback"));
-  EXPECT_EQ(s.coll_peer_legs, reg("tempi.coll.peer_legs"));
-  EXPECT_EQ(s.persistent_init, reg("tempi.persistent.inits"));
-  EXPECT_EQ(s.persistent_start, reg("tempi.persistent.starts"));
-  EXPECT_EQ(s.persistent_replay_hits, reg("tempi.persistent.replays"));
-  EXPECT_EQ(s.persistent_graph_launches,
-            reg("tempi.persistent.graph_launches"));
-  EXPECT_EQ(s.persistent_forwarded, reg("tempi.persistent.forwarded"));
+TEST_F(TempiTrace, RegistryNamesAreUniqueAndCoverPerfbench) {
+  drive_every_family();
 
-  // At least one family must have moved, or this test proves nothing.
-  EXPECT_GT(s.oneshot + s.device + s.staged + s.pipelined + s.forwarded, 0u);
-  EXPECT_GT(s.persistent_init, 0u);
+  // Every family moved, or this test proves nothing.
+  EXPECT_GT(trace::counter_value("tempi.send.oneshot") +
+                trace::counter_value("tempi.send.device") +
+                trace::counter_value("tempi.send.staged") +
+                trace::counter_value("tempi.send.pipelined"),
+            0u);
+  EXPECT_EQ(trace::counter_value("tempi.irecv.accelerated"), 1u);
+  EXPECT_EQ(trace::counter_value("tempi.persistent.inits"), 2u);
+  EXPECT_EQ(trace::counter_value("tempi.coll.neighbor"), 4u);
+  EXPECT_EQ(trace::counter_value("tempi.red.allreduce"), 4u);
 
-  // The sorted registry snapshot exposes the same names.
   const auto all = trace::counter_snapshot();
   EXPECT_TRUE(std::is_sorted(
       all.begin(), all.end(),
       [](const auto &a, const auto &b) { return a.first < b.first; }));
-  const auto has = [&all](const char *name) {
-    return std::any_of(all.begin(), all.end(), [name](const auto &kv) {
-      return kv.first == name;
-    });
+  // (a) No name is registered twice: a second registration would shadow
+  // the first in counter_value and split the count.
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    EXPECT_NE(all[i - 1].first, all[i].first);
+  }
+  // (b) Every name perfbench reads is registered: it reads a missing name
+  // as 0, which would silently zero a per-layer metric.
+  std::vector<std::string> wanted = {
+      "tempi.model.cache_hits",       "tempi.model.cache_misses",
+      "tempi.model.generation_bumps", "tempi.engine.isends",
+      "tempi.engine.completions",     "tempi.engine.batched_syncs",
+      "tempi.persistent.starts",      "tempi.persistent.replays",
+      "tempi.coll.alltoallv",         "tempi.coll.neighbor",
+      "tempi.coll.fallback",          "tempi.coll.peer_legs",
+      "tempi.topo.intra_node_legs",   "tempi.topo.staggered_legs",
+      "tempi.red.allreduce",          "tempi.red.reduce",
+      "tempi.red.reduce_scatter",     "tempi.red.fallback",
+      "tempi.red.peer_legs",          "tempi.red.kernel_launches",
   };
-  EXPECT_TRUE(has("tempi.send.oneshot"));
-  EXPECT_TRUE(has("tempi.engine.isends"));
-  EXPECT_TRUE(has("tempi.model.cache_hits")); // gauge, same namespace
+  for (const char *method : {"oneshot", "device", "staged", "pipelined"}) {
+    wanted.push_back(std::string("tempi.send.") + method);
+    wanted.push_back(std::string("tempi.isend.") + method);
+  }
+  for (const char *lock :
+       {"pool", "depot", "vcuda_streams", "trace_rings", "tune_refresh"}) {
+    wanted.push_back(std::string("tempi.lock.") + lock + ".acquires");
+    wanted.push_back(std::string("tempi.lock.") + lock + ".contended");
+  }
+  for (const std::string &name : wanted) {
+    EXPECT_TRUE(std::any_of(all.begin(), all.end(),
+                            [&name](const auto &kv) {
+                              return kv.first == name;
+                            }))
+        << "missing: " << name;
+  }
+}
+
+TEST_F(TempiTrace, ResetCountersZeroesCountersOnly) {
+  drive_every_family();
+  // A lease held across the reset keeps the leased_now gauge nonzero.
+  const tempi::CachedBuffer held =
+      tempi::lease_buffer(vcuda::MemorySpace::Device, 4096);
+  const std::size_t leased = tempi::buffer_cache_stats().leased_now;
+  EXPECT_GE(leased, 1u);
+  const std::size_t spans = trace::snapshot().spans.size();
+  EXPECT_GT(spans, 0u);
+  constexpr std::string_view kLockPrefix = "tempi.lock.";
+  const auto is_gauge = [&](const std::string &name) {
+    return name.compare(0, kLockPrefix.size(), kLockPrefix) == 0;
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> gauges;
+  bool counted = false;
+  for (const auto &[name, value] : trace::counter_snapshot()) {
+    if (is_gauge(name)) {
+      gauges.emplace_back(name, value);
+    } else {
+      counted = counted || value > 0;
+    }
+  }
+  EXPECT_TRUE(counted);
+  EXPECT_GT(trace::counter_value("tempi.lock.pool.acquires"), 0u);
+
+  trace::reset_counters();
+
+  for (const auto &[name, value] : trace::counter_snapshot()) {
+    if (!is_gauge(name)) {
+      EXPECT_EQ(value, 0u) << name;
+    }
+  }
+  for (const auto &[name, value] : gauges) {
+    EXPECT_EQ(trace::counter_value(name), value) << name;
+  }
+  EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased);
+  EXPECT_EQ(trace::snapshot().spans.size(), spans);
+
+  // A counter first constructed after the reset registers and counts.
+  static trace::Counter late("test.trace.late");
+  late.add(3);
+  EXPECT_EQ(trace::counter_value("test.trace.late"), 3u);
 }
 
 TEST_F(TempiTrace, StatsReportPrintsCountersAndPhases) {
