@@ -410,7 +410,7 @@ int sys_Isend(const void *buf, int count, MPI_Datatype datatype, int dest,
 
 int sys_Irecv(void *buf, int count, MPI_Datatype datatype, int source, int tag,
               MPI_Comm comm, MPI_Request *request) {
-  if (request == nullptr) {
+  if (request == nullptr || comm == nullptr || !valid_source(comm, source)) {
     return MPI_ERR_ARG;
   }
   auto *r = new Request();
@@ -538,8 +538,12 @@ int sys_Waitany(int count, MPI_Request *requests, int *index,
 }
 
 int sys_Probe(int source, int tag, MPI_Comm comm, MPI_Status *status) {
-  if (comm == nullptr) {
+  if (comm == nullptr || !valid_source(comm, source)) {
     return MPI_ERR_ARG;
+  }
+  if (source == MPI_PROC_NULL) {
+    proc_null_status(status);
+    return MPI_SUCCESS;
   }
   World &world = *comm->world;
   const Mailbox::PeekInfo info =
@@ -556,8 +560,13 @@ int sys_Probe(int source, int tag, MPI_Comm comm, MPI_Status *status) {
 
 int sys_Iprobe(int source, int tag, MPI_Comm comm, int *flag,
                MPI_Status *status) {
-  if (comm == nullptr || flag == nullptr) {
+  if (comm == nullptr || flag == nullptr || !valid_source(comm, source)) {
     return MPI_ERR_ARG;
+  }
+  if (source == MPI_PROC_NULL) {
+    *flag = 1;
+    proc_null_status(status);
+    return MPI_SUCCESS;
   }
   World &world = *comm->world;
   Mailbox::PeekInfo info;
@@ -638,7 +647,7 @@ int sys_Send_init(const void *buf, int count, MPI_Datatype datatype, int dest,
 
 int sys_Recv_init(void *buf, int count, MPI_Datatype datatype, int source,
                   int tag, MPI_Comm comm, MPI_Request *request) {
-  if (request == nullptr || comm == nullptr) {
+  if (request == nullptr || comm == nullptr || !valid_source(comm, source)) {
     return MPI_ERR_ARG;
   }
   auto *r = new Request();

@@ -18,7 +18,7 @@ namespace sysmpi {
 
 int next_collective_tag(MPI_Comm comm) {
   const std::uint64_t seq = comm->collective_seq++;
-  return -1 - static_cast<int>(seq & 0x3FFFFFFu);
+  return -2 - static_cast<int>(seq & 0x3FFFFFFu);
 }
 
 namespace {

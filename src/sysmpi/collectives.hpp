@@ -16,7 +16,9 @@ namespace sysmpi {
 /// Exported because TEMPI's collectives engine must derive the exact tag
 /// — and consume the exact sequence slots — a system-path rank does for
 /// the same call; one definition keeps that interoperability invariant in
-/// one place.
+/// one place. Collective tags are -2 and below: MPI_ANY_TAG (-1) and every
+/// user tag (>= 0) stay distinct from them, and a user MPI_ANY_TAG receive
+/// or probe never matches them (see match_at in world.cpp).
 int next_collective_tag(MPI_Comm comm);
 
 /// Apply `kind` elementwise: inout[i] = op(inout[i], in[i]). Returns false

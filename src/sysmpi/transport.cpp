@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <memory>
 
 namespace sysmpi {
 
@@ -15,48 +16,73 @@ bool is_gpu(const void *p) {
   return vcuda::memory_registry().space_of(p) == vcuda::MemorySpace::Device;
 }
 
-/// Stage the outgoing message into host bytes. For contiguous data this is
+/// Write the outgoing message as contiguous wire bytes at `dst`: host
+/// staging, or a blocked receiver's buffer. For contiguous data this is
 /// free of *virtual* cost (the CUDA-aware wire model prices the transfer);
 /// for non-contiguous data the baseline datatype engine runs and charges
 /// its per-block costs (the slow Spectrum-like path).
 ///
 /// Returns whether the wire source should be priced as GPU-resident.
-bool stage_send(std::vector<std::byte> &payload, const void *buf, int count,
-                const Datatype &dt) {
-  const std::size_t bytes = static_cast<std::size_t>(dt.size) * count;
-  payload.resize(bytes);
+bool write_wire(void *dst, const void *buf, int count, const Datatype &dt,
+                std::size_t bytes) {
   if (bytes == 0) {
     return false;
   }
-  const bool gpu = is_gpu(buf);
   if (dt.is_contiguous()) {
-    std::memcpy(payload.data(), buf, bytes); // wire cost priced by netmodel
-    return gpu;
+    std::memcpy(dst, buf, bytes); // wire cost priced by netmodel
+    return is_gpu(buf);
   }
-  baseline_pack(payload.data(), buf, count, dt);
+  baseline_pack(dst, buf, count, dt);
   // After the baseline engine, the packed bytes live in host memory; the
   // wire leg is a host-to-host transfer.
   return false;
 }
 
-/// Deliver received host bytes into the user buffer, mirroring stage_send.
-void unstage_recv(void *buf, int count, const Datatype &dt,
-                  const std::vector<std::byte> &payload) {
-  if (payload.empty()) {
-    return;
+/// The claimed receiver's buffer if the sender may write the message into
+/// it in place, else null (stage instead). The receive type must be
+/// contiguous (dst set) and hold the message: a larger one reaches the
+/// receiver staged, to report truncation with its buffer untouched. The
+/// baseline engine prices block copies by where the destination lives, so
+/// a non-contiguous send packs in place only into host memory, where its
+/// staging would have gone.
+void *direct_dst(const Mailbox::Waiter *w, std::size_t bytes,
+                 const Datatype &dt) {
+  if (w == nullptr || w->dst == nullptr || bytes > w->capacity) {
+    return nullptr;
   }
+  if (!dt.is_contiguous() && is_gpu(w->dst)) {
+    return nullptr;
+  }
+  return w->dst;
+}
+
+/// Deliver staged host bytes into the user buffer, mirroring write_wire.
+void unstage_recv(void *buf, const Datatype &dt, const std::byte *payload,
+                  std::size_t bytes) {
   if (dt.is_contiguous()) {
-    std::memcpy(buf, payload.data(), payload.size());
+    std::memcpy(buf, payload, bytes);
     return;
   }
-  const int elems = static_cast<int>(
-      payload.size() / static_cast<std::size_t>(dt.size));
-  assert(elems <= count);
-  (void)count;
-  baseline_unpack(buf, payload.data(), elems, dt);
+  const int elems =
+      static_cast<int>(bytes / static_cast<std::size_t>(dt.size));
+  baseline_unpack(buf, payload, elems, dt);
 }
 
 } // namespace
+
+bool valid_source(MPI_Comm comm, int source) {
+  return source == MPI_ANY_SOURCE || source == MPI_PROC_NULL ||
+         (source >= 0 && source < comm->size());
+}
+
+void proc_null_status(MPI_Status *status) {
+  if (status != MPI_STATUS_IGNORE) {
+    status->MPI_SOURCE = MPI_PROC_NULL;
+    status->MPI_TAG = MPI_ANY_TAG;
+    status->MPI_ERROR = MPI_SUCCESS;
+    status->count_bytes = 0;
+  }
+}
 
 int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
               MPI_Comm comm) {
@@ -72,27 +98,39 @@ int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
   const NetParams &net = net_params();
   vcuda::Timeline &tl = vcuda::this_thread_timeline();
 
+  const int dst_world = comm->world_rank_of(dest);
+  Mailbox &box = world.mailbox(dst_world);
+
   Envelope e;
   e.src_comm_rank = comm->my_rank;
   e.tag = tag;
   e.comm_id = comm->id;
-  e.src_gpu = stage_send(e.payload, buf, count, *dt);
+  e.bytes = static_cast<std::size_t>(dt->size) * count;
+  // A receiver already blocked on this message takes the bytes in its own
+  // buffer (one copy); otherwise stage them, without zero-filling a buffer
+  // that is overwritten whole.
+  Mailbox::Waiter *waiter = box.claim(e.src_comm_rank, tag, comm->id);
+  if (void *dst = direct_dst(waiter, e.bytes, *dt)) {
+    e.src_gpu = write_wire(dst, buf, count, *dt, e.bytes);
+  } else {
+    e.payload = std::make_unique_for_overwrite<std::byte[]>(e.bytes);
+    e.src_gpu = write_wire(e.payload.get(), buf, count, *dt, e.bytes);
+  }
   e.src_node = world.node_of(comm->world_rank_of(comm->my_rank));
-  e.rendezvous = e.payload.size() > net.eager_bytes;
+  e.rendezvous = e.bytes > net.eager_bytes;
 
   tl.advance(vcuda::us_to_ns(net.host_overhead_us));
   e.send_time = tl.now();
 
-  const int dst_world = comm->world_rank_of(dest);
   const bool same_node = world.node_of(dst_world) == e.src_node;
 
   // Inter-node messages serialize on the source node's NIC injection port
   // (shared by all ranks of the node). The message "departs" when the port
   // accepts it.
-  if (!same_node && !e.payload.empty()) {
+  if (!same_node && e.bytes > 0) {
     // Occupancy is the wire time alone, priced with symmetric residency.
     const vcuda::VirtualNs wire =
-        transfer_duration(net, e.payload.size(), e.src_gpu, e.src_gpu,
+        transfer_duration(net, e.bytes, e.src_gpu, e.src_gpu,
                           /*same_node=*/false) -
         vcuda::us_to_ns(e.src_gpu ? net.gpu_lat_inter_us
                                   : net.cpu_lat_inter_us);
@@ -121,22 +159,26 @@ int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
   // assumed symmetric to ours (the receiver re-prices precisely).
   if (e.rendezvous) {
     tl.wait_until(e.send_time +
-                  transfer_duration(net, e.payload.size(), e.src_gpu,
-                                    e.src_gpu, same_node));
+                  transfer_duration(net, e.bytes, e.src_gpu, e.src_gpu,
+                                    same_node));
   }
 
-  world.mailbox(comm->world_rank_of(dest)).deliver(std::move(e));
+  if (waiter != nullptr) {
+    box.complete(*waiter, std::move(e));
+  } else {
+    box.deliver(std::move(e));
+  }
   return MPI_SUCCESS;
 }
 
 namespace {
 
-/// Complete a matched receive: advance virtual time and move the payload
-/// into the user buffer.
+/// Complete a matched receive: advance virtual time and move a staged
+/// payload into the user buffer (a direct one is there already).
 int finish_recv(void *buf, int count, MPI_Datatype dt, MPI_Comm comm,
                 Envelope &e, MPI_Status *status) {
   const std::size_t expected = static_cast<std::size_t>(dt->size) * count;
-  if (e.payload.size() > expected) {
+  if (e.bytes > expected) {
     return MPI_ERR_TRUNCATE;
   }
   World &world = *comm->world;
@@ -149,7 +191,7 @@ int finish_recv(void *buf, int count, MPI_Datatype dt, MPI_Comm comm,
   const int my_node = world.node_of(comm->world_rank_of(comm->my_rank));
   const bool same_node = my_node == e.src_node;
   const vcuda::VirtualNs wire =
-      transfer_duration(net, e.payload.size(), e.src_gpu, dst_gpu, same_node);
+      transfer_duration(net, e.bytes, e.src_gpu, dst_gpu, same_node);
 
   tl.advance(vcuda::us_to_ns(net.host_overhead_us));
   // Rendezvous transfers start when both sides are ready; eager transfers
@@ -173,13 +215,15 @@ int finish_recv(void *buf, int count, MPI_Datatype dt, MPI_Comm comm,
   }
   tl.wait_until(start + wire + incast);
 
-  unstage_recv(buf, count, *dt, e.payload);
+  if (e.payload != nullptr && e.bytes > 0) {
+    unstage_recv(buf, *dt, e.payload.get(), e.bytes);
+  }
 
   if (status != MPI_STATUS_IGNORE) {
     status->MPI_SOURCE = e.src_comm_rank;
     status->MPI_TAG = e.tag;
     status->MPI_ERROR = MPI_SUCCESS;
-    status->count_bytes = static_cast<long long>(e.payload.size());
+    status->count_bytes = static_cast<long long>(e.bytes);
   }
   return MPI_SUCCESS;
 }
@@ -189,20 +233,20 @@ int finish_recv(void *buf, int count, MPI_Datatype dt, MPI_Comm comm,
 int recv_impl(void *buf, int count, MPI_Datatype dt, int source, int tag,
               MPI_Comm comm, MPI_Status *status) {
   if (source == MPI_PROC_NULL) {
-    if (status != MPI_STATUS_IGNORE) {
-      status->MPI_SOURCE = MPI_PROC_NULL;
-      status->MPI_TAG = MPI_ANY_TAG;
-      status->count_bytes = 0;
-    }
+    proc_null_status(status);
     return MPI_SUCCESS;
   }
-  if (comm == nullptr || dt == nullptr || count < 0) {
+  if (comm == nullptr || dt == nullptr || count < 0 ||
+      !valid_source(comm, source)) {
     return MPI_ERR_ARG;
   }
   assert(dt->committed && "recv with uncommitted datatype");
   World &world = *comm->world;
+  // Only a contiguous receive type can be filled in place by the sender.
+  void *dst = dt->is_contiguous() ? buf : nullptr;
   Envelope e = world.mailbox(comm->world_rank_of(comm->my_rank))
-                   .take(source, tag, comm->id);
+                   .take(source, tag, comm->id, dst,
+                         static_cast<std::size_t>(dt->size) * count);
   return finish_recv(buf, count, dt, comm, e, status);
 }
 

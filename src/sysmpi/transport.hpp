@@ -9,6 +9,14 @@
 
 namespace sysmpi {
 
+/// Is `source` legal for a receive or probe on `comm`: MPI_ANY_SOURCE,
+/// MPI_PROC_NULL or a rank of the communicator?
+bool valid_source(MPI_Comm comm, int source);
+
+/// Fill `status` (if non-null) for a receive or probe from MPI_PROC_NULL,
+/// which completes at once with an empty message.
+void proc_null_status(MPI_Status *status);
+
 /// Blocking standard-mode send of count*dt from buf to `dest` (comm rank).
 int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
               MPI_Comm comm);

@@ -10,45 +10,74 @@
 
 namespace sysmpi {
 
+namespace {
+
+/// Does a message keyed (msg_src, msg_tag, msg_comm) match a receive or
+/// probe for (src, tag, comm_id)? MPI_ANY_TAG matches user tags only: the
+/// negative tags belong to collectives (next_collective_tag), whose
+/// traffic must never be taken by a user receive or probe.
+bool match_at(int msg_src, int msg_tag, std::uint64_t msg_comm, int src,
+              int tag, std::uint64_t comm_id) {
+  if (msg_comm != comm_id) {
+    return false;
+  }
+  if (src != MPI_ANY_SOURCE && msg_src != src) {
+    return false;
+  }
+  return tag == MPI_ANY_TAG ? msg_tag >= 0 : msg_tag == tag;
+}
+
+bool match_at(const Envelope &e, int src, int tag, std::uint64_t comm_id) {
+  return match_at(e.src_comm_rank, e.tag, e.comm_id, src, tag, comm_id);
+}
+
+} // namespace
+
+Mailbox::Waiter *Mailbox::unlink_waiter(int src_comm_rank, int tag,
+                                        std::uint64_t comm_id) {
+  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
+    Waiter *w = *it;
+    if (match_at(src_comm_rank, tag, comm_id, w->src, w->tag, w->comm_id)) {
+      waiters_.erase(it);
+      return w;
+    }
+  }
+  return nullptr;
+}
+
+void Mailbox::wake(Waiter &w, Envelope &&e) {
+  w.env = std::move(e);
+  w.done = true;
+  // Notify under the lock: the waiter lives on its receiver's stack and
+  // may return (destroying cv) as soon as it can observe `done`.
+  w.cv.notify_one();
+}
+
+Mailbox::Waiter *Mailbox::claim(int src_comm_rank, int tag,
+                                std::uint64_t comm_id) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return unlink_waiter(src_comm_rank, tag, comm_id);
+}
+
+void Mailbox::complete(Waiter &w, Envelope &&e) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  wake(w, std::move(e));
+}
+
 void Mailbox::deliver(Envelope &&e) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
+    if (Waiter *w = unlink_waiter(e.src_comm_rank, e.tag, e.comm_id)) {
+      wake(*w, std::move(e));
+      return;
+    }
     queue_.push_back(std::move(e));
   }
   cv_.notify_all();
 }
 
-bool Mailbox::match_at(const Envelope &e, int src, int tag,
-                       std::uint64_t comm_id) const {
-  if (e.comm_id != comm_id) {
-    return false;
-  }
-  if (src != MPI_ANY_SOURCE && e.src_comm_rank != src) {
-    return false;
-  }
-  if (tag != MPI_ANY_TAG && e.tag != tag) {
-    return false;
-  }
-  return true;
-}
-
-Envelope Mailbox::take(int src, int tag, std::uint64_t comm_id) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (match_at(*it, src, tag, comm_id)) {
-        Envelope e = std::move(*it);
-        queue_.erase(it);
-        return e;
-      }
-    }
-    cv_.wait(lock);
-  }
-}
-
-bool Mailbox::try_take(int src, int tag, std::uint64_t comm_id,
-                       Envelope &out) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+bool Mailbox::pop_match(int src, int tag, std::uint64_t comm_id,
+                        Envelope &out) {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (match_at(*it, src, tag, comm_id)) {
       out = std::move(*it);
@@ -59,12 +88,30 @@ bool Mailbox::try_take(int src, int tag, std::uint64_t comm_id,
   return false;
 }
 
+Envelope Mailbox::take(int src, int tag, std::uint64_t comm_id, void *dst,
+                       std::size_t capacity) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  Waiter w{src, tag, comm_id, dst, capacity, {}, false, {}};
+  if (pop_match(src, tag, comm_id, w.env)) {
+    return std::move(w.env);
+  }
+  waiters_.push_back(&w);
+  w.cv.wait(lock, [&w] { return w.done; });
+  return std::move(w.env);
+}
+
+bool Mailbox::try_take(int src, int tag, std::uint64_t comm_id,
+                       Envelope &out) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return pop_match(src, tag, comm_id, out);
+}
+
 Mailbox::PeekInfo Mailbox::peek(int src, int tag, std::uint64_t comm_id) {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     for (const Envelope &e : queue_) {
       if (match_at(e, src, tag, comm_id)) {
-        return PeekInfo{e.src_comm_rank, e.tag, e.payload.size()};
+        return PeekInfo{e.src_comm_rank, e.tag, e.bytes};
       }
     }
     cv_.wait(lock);
@@ -76,11 +123,16 @@ bool Mailbox::try_peek(int src, int tag, std::uint64_t comm_id,
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const Envelope &e : queue_) {
     if (match_at(e, src, tag, comm_id)) {
-      out = PeekInfo{e.src_comm_rank, e.tag, e.payload.size()};
+      out = PeekInfo{e.src_comm_rank, e.tag, e.bytes};
       return true;
     }
   }
   return false;
+}
+
+std::size_t Mailbox::blocked_receivers() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return waiters_.size();
 }
 
 World::World(int size, int ranks_per_node)

@@ -12,6 +12,7 @@
 #include "vcuda/clock.hpp"
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -22,13 +23,15 @@
 
 namespace sysmpi {
 
-/// One in-flight message. `payload` is host-side staging; CUDA-awareness is
-/// captured by `src_gpu` + pricing, not by where the staging lives.
+/// One in-flight message. `payload` is host-side staging, absent when the
+/// sender wrote straight into a blocked receiver's buffer; CUDA-awareness
+/// is captured by `src_gpu` + pricing, not by where the bytes travelled.
 struct Envelope {
   int src_comm_rank = -1;
   int tag = 0;
   std::uint64_t comm_id = 0;
-  std::vector<std::byte> payload;
+  std::unique_ptr<std::byte[]> payload; ///< staged bytes, or null if direct
+  std::size_t bytes = 0;                ///< message size either way
   vcuda::VirtualNs send_time = 0; ///< sender's clock at handoff
   bool src_gpu = false;           ///< wire source is GPU-resident
   bool rendezvous = false;        ///< transfer starts only once matched
@@ -44,14 +47,48 @@ struct Envelope {
   bool eject_reserved = false; ///< eject_ready reservation was made
 };
 
-/// Per-rank receive queue with (source, tag, comm) matching.
+/// Per-rank receive side with (source, tag, comm) matching: a queue of
+/// unexpected messages and a list of receivers blocked in take().
+///
+/// A blocked receiver is handed its message directly, so a sender that
+/// finds one copies the payload once, into the receiver's buffer; only a
+/// message nobody waits for is staged (two copies). No-overtaking holds
+/// because a receiver registers only after scanning the queue under the
+/// lock, and deliver() hands every match to a registered receiver: the
+/// queue never holds an envelope a registered receiver matches.
 class Mailbox {
 public:
+  /// A receive blocked in take(). `dst`/`capacity` describe a contiguous
+  /// receive buffer a sender may write directly (null for other types).
+  struct Waiter {
+    int src;
+    int tag;
+    std::uint64_t comm_id;
+    void *dst;
+    std::size_t capacity;
+    Envelope env;
+    bool done = false;
+    std::condition_variable cv;
+  };
+
+  /// Hand `e` to the earliest registered receiver it matches, else queue
+  /// it as unexpected.
   void deliver(Envelope &&e);
 
+  /// Remove and return the earliest registered receiver matching a
+  /// message with this key, or null. The caller owns completing it.
+  Waiter *claim(int src_comm_rank, int tag, std::uint64_t comm_id);
+
+  /// Wake a claimed receiver with its envelope.
+  void complete(Waiter &w, Envelope &&e);
+
   /// Block until a matching envelope is available and remove it.
-  /// src may be MPI_ANY_SOURCE; tag may be MPI_ANY_TAG.
-  Envelope take(int src, int tag, std::uint64_t comm_id);
+  /// src may be MPI_ANY_SOURCE; tag may be MPI_ANY_TAG. `dst`/`capacity`
+  /// name a contiguous receive buffer a sender may fill in place (null
+  /// otherwise); an envelope whose bytes were written there has a null
+  /// payload.
+  Envelope take(int src, int tag, std::uint64_t comm_id, void *dst,
+                std::size_t capacity);
 
   /// Non-blocking variant; returns false if nothing matches.
   bool try_take(int src, int tag, std::uint64_t comm_id, Envelope &out);
@@ -69,12 +106,21 @@ public:
   /// Non-blocking peek; returns false if nothing matches.
   bool try_peek(int src, int tag, std::uint64_t comm_id, PeekInfo &out);
 
+  /// Receivers currently blocked in take() (lets tests order a send
+  /// after a receive has blocked).
+  std::size_t blocked_receivers();
+
 private:
-  bool match_at(const Envelope &e, int src, int tag,
-                std::uint64_t comm_id) const;
+  // The helpers below expect mutex_ held.
+  /// Remove the earliest queued envelope matching the receive into `out`.
+  bool pop_match(int src, int tag, std::uint64_t comm_id, Envelope &out);
+  /// Remove and return the earliest waiter matching a message key, or null.
+  Waiter *unlink_waiter(int src_comm_rank, int tag, std::uint64_t comm_id);
+  static void wake(Waiter &w, Envelope &&e);
   std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable cv_; ///< queue growth, for blocked peeks
   std::deque<Envelope> queue_;
+  std::vector<Waiter *> waiters_; ///< blocked receivers, registration order
 };
 
 /// Shared state for one collective-synchronization point (per comm).

@@ -3,10 +3,13 @@
 // intact (failure-injection counterpart to the happy-path suites).
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/buffer_cache.hpp"
 #include "tempi/tempi.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 namespace {
 
@@ -37,6 +40,72 @@ TEST_F(ApiErrors, SendToInvalidRankRejected) {
   EXPECT_EQ(MPI_Send(&v, 1, MPI_INT, 99, 0, MPI_COMM_WORLD), MPI_ERR_ARG);
   EXPECT_EQ(MPI_Send(&v, -1, MPI_INT, 0, 0, MPI_COMM_WORLD), MPI_ERR_ARG);
   EXPECT_EQ(MPI_Send(&v, 1, MPI_INT, 0, 0, MPI_COMM_NULL), MPI_ERR_ARG);
+}
+
+/// Post a receive from `source` every way MPI allows and return each call's
+/// error code: a bad source must fail the post or its completion, never
+/// block. Order: Recv, Irecv(+Wait), Recv_init(+Start+Wait), Probe, Iprobe.
+std::vector<int> receive_every_way(void *buf, int count, MPI_Datatype type,
+                                   int source) {
+  std::vector<int> codes;
+  codes.push_back(MPI_Recv(buf, count, type, source, 0, MPI_COMM_WORLD,
+                           MPI_STATUS_IGNORE));
+  MPI_Request req = MPI_REQUEST_NULL;
+  int rc = MPI_Irecv(buf, count, type, source, 0, MPI_COMM_WORLD, &req);
+  if (rc == MPI_SUCCESS) {
+    rc = MPI_Wait(&req, MPI_STATUS_IGNORE);
+  }
+  codes.push_back(rc);
+  req = MPI_REQUEST_NULL;
+  rc = MPI_Recv_init(buf, count, type, source, 0, MPI_COMM_WORLD, &req);
+  if (rc == MPI_SUCCESS) {
+    rc = MPI_Start(&req);
+    if (rc == MPI_SUCCESS) {
+      rc = MPI_Wait(&req, MPI_STATUS_IGNORE);
+    }
+    MPI_Request_free(&req);
+  }
+  codes.push_back(rc);
+  MPI_Status status;
+  codes.push_back(MPI_Probe(source, 0, MPI_COMM_WORLD, &status));
+  int flag = 0;
+  codes.push_back(MPI_Iprobe(source, 0, MPI_COMM_WORLD, &flag, &status));
+  return codes;
+}
+
+TEST_F(ApiErrors, RecvFromInvalidRankRejected) {
+  int v = 0;
+  const std::vector<int> rejected(5, MPI_ERR_ARG);
+  EXPECT_EQ(receive_every_way(&v, 1, MPI_INT, 99), rejected);
+  EXPECT_EQ(receive_every_way(&v, 1, MPI_INT, 1), rejected); // size is 1
+  EXPECT_EQ(receive_every_way(&v, 1, MPI_INT, -7), rejected);
+}
+
+TEST_F(ApiErrors, RecvFromProcNullCompletesEmpty) {
+  int v = 0;
+  EXPECT_EQ(receive_every_way(&v, 1, MPI_INT, MPI_PROC_NULL),
+            std::vector<int>(5, MPI_SUCCESS));
+  MPI_Status status;
+  int flag = 0;
+  ASSERT_EQ(MPI_Iprobe(MPI_PROC_NULL, 0, MPI_COMM_WORLD, &flag, &status),
+            MPI_SUCCESS);
+  EXPECT_EQ(flag, 1);
+  EXPECT_EQ(status.MPI_SOURCE, MPI_PROC_NULL);
+}
+
+TEST_F(ApiErrors, TempiDeviceRecvFromInvalidRankReturnsLeases) {
+  // An accelerated device receive leases a staging buffer before the wire
+  // leg; the rejected source must come back as the error code with the
+  // lease returned.
+  tempi::ScopedInterposer guard;
+  MPI_Datatype t = nullptr;
+  MPI_Type_vector(64, 4, 8, MPI_BYTE, &t);
+  MPI_Type_commit(&t);
+  SpaceBuffer buf(vcuda::MemorySpace::Device, 64 * 8);
+  EXPECT_EQ(receive_every_way(buf.get(), 1, t, 99),
+            std::vector<int>(5, MPI_ERR_ARG));
+  EXPECT_EQ(tempi::buffer_cache_stats().leased_now, 0u);
+  MPI_Type_free(&t);
 }
 
 TEST_F(ApiErrors, GetCountNeedsArguments) {

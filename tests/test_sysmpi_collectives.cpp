@@ -1,9 +1,12 @@
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/tempi.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -214,5 +217,91 @@ TEST(Wtime, IsVirtualAndMonotonic) {
     EXPECT_NEAR(t1 - t0, 500e-6, 1e-9);
   });
 }
+
+// --- collective traffic vs user messages ------------------------------------
+//
+// Collectives and user point-to-point share each rank's mailbox; the
+// internal (negative) collective tags must neither equal MPI_ANY_TAG nor be
+// matched by it. Checked on the system path and with TEMPI installed (its
+// engines draw tags from the same sequence).
+
+/// Runs the first collective of the world: root-0 Bcast or a sum
+/// Allreduce, both yielding 222 on every rank.
+int first_collective(bool allreduce, int rank) {
+  int out = 0;
+  if (allreduce) {
+    const int in = rank == 0 ? 200 : 22;
+    EXPECT_EQ(MPI_Allreduce(&in, &out, 1, MPI_INT, MPI_SUM, MPI_COMM_WORLD),
+              MPI_SUCCESS);
+  } else {
+    out = rank == 0 ? 222 : 0;
+    EXPECT_EQ(MPI_Bcast(&out, 1, MPI_INT, 0, MPI_COMM_WORLD), MPI_SUCCESS);
+  }
+  return out;
+}
+
+/// (TEMPI installed, collective is Allreduce rather than Bcast).
+class CollectiveTags
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(CollectiveTags, CollectiveDoesNotTakeUserMessage) {
+  const auto [with_tempi, allreduce] = GetParam();
+  std::optional<tempi::ScopedInterposer> guard;
+  if (with_tempi) {
+    guard.emplace();
+  }
+  run_n(2, 1, [allreduce](int rank) {
+    // Each rank's user message is queued at its peer before the collective
+    // receives anything, whichever rank that collective receives on.
+    MPI_Init(nullptr, nullptr);
+    const int peer = 1 - rank;
+    const int mine = 111 + rank;
+    ASSERT_EQ(MPI_Send(&mine, 1, MPI_INT, peer, 5, MPI_COMM_WORLD),
+              MPI_SUCCESS);
+    EXPECT_EQ(first_collective(allreduce, rank), 222);
+    int x = 0;
+    ASSERT_EQ(MPI_Recv(&x, 1, MPI_INT, peer, 5, MPI_COMM_WORLD,
+                       MPI_STATUS_IGNORE),
+              MPI_SUCCESS);
+    EXPECT_EQ(x, 111 + peer);
+    MPI_Finalize();
+  });
+}
+
+TEST_P(CollectiveTags, AnyTagReceiveAndProbeSkipCollectiveTraffic) {
+  // The root's Bcast message reaches rank 1 first; a user MPI_ANY_TAG
+  // probe and receive must wait for the user message behind it. (A root
+  // Allreduce would wait for rank 1, so only Bcast can run ahead here.)
+  const bool with_tempi = std::get<0>(GetParam());
+  std::optional<tempi::ScopedInterposer> guard;
+  if (with_tempi) {
+    guard.emplace();
+  }
+  run_n(2, 1, [](int rank) {
+    MPI_Init(nullptr, nullptr);
+    if (rank == 0) {
+      EXPECT_EQ(first_collective(false, rank), 222);
+      const int v = 111;
+      ASSERT_EQ(MPI_Send(&v, 1, MPI_INT, 1, 5, MPI_COMM_WORLD), MPI_SUCCESS);
+    } else {
+      MPI_Status status;
+      ASSERT_EQ(MPI_Probe(0, MPI_ANY_TAG, MPI_COMM_WORLD, &status),
+                MPI_SUCCESS);
+      EXPECT_EQ(status.MPI_TAG, 5);
+      int x = 0;
+      ASSERT_EQ(MPI_Recv(&x, 1, MPI_INT, 0, MPI_ANY_TAG, MPI_COMM_WORLD,
+                         &status),
+                MPI_SUCCESS);
+      EXPECT_EQ(x, 111);
+      EXPECT_EQ(status.MPI_TAG, 5);
+      EXPECT_EQ(first_collective(false, rank), 222);
+    }
+    MPI_Finalize();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, CollectiveTags,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool()));
 
 } // namespace
