@@ -84,39 +84,18 @@ void proc_null_status(MPI_Status *status) {
   }
 }
 
-int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
-              MPI_Comm comm) {
-  if (dest == MPI_PROC_NULL) {
-    return MPI_SUCCESS;
-  }
-  if (comm == nullptr || dt == nullptr || count < 0 || dest < 0 ||
-      dest >= comm->size()) {
-    return MPI_ERR_ARG;
-  }
-  assert(dt->committed && "send with uncommitted datatype");
-  World &world = *comm->world;
+namespace {
+
+/// Stamp the departure of a message whose bytes are written: the sender's
+/// host overhead, NIC injection (and, for eager inter-node messages, the
+/// destination ejection reservation) and, for rendezvous, the blocking
+/// wait for the wire. Pure pricing with no error path, so send_impl can
+/// complete a receiver it claimed before the write right after this.
+void price_departure(Envelope &e, World &world, int src_world,
+                     int dst_world) {
   const NetParams &net = net_params();
   vcuda::Timeline &tl = vcuda::this_thread_timeline();
-
-  const int dst_world = comm->world_rank_of(dest);
-  Mailbox &box = world.mailbox(dst_world);
-
-  Envelope e;
-  e.src_comm_rank = comm->my_rank;
-  e.tag = tag;
-  e.comm_id = comm->id;
-  e.bytes = static_cast<std::size_t>(dt->size) * count;
-  // A receiver already blocked on this message takes the bytes in its own
-  // buffer (one copy); otherwise stage them, without zero-filling a buffer
-  // that is overwritten whole.
-  Mailbox::Waiter *waiter = box.claim(e.src_comm_rank, tag, comm->id);
-  if (void *dst = direct_dst(waiter, e.bytes, *dt)) {
-    e.src_gpu = write_wire(dst, buf, count, *dt, e.bytes);
-  } else {
-    e.payload = std::make_unique_for_overwrite<std::byte[]>(e.bytes);
-    e.src_gpu = write_wire(e.payload.get(), buf, count, *dt, e.bytes);
-  }
-  e.src_node = world.node_of(comm->world_rank_of(comm->my_rank));
+  e.src_node = world.node_of(src_world);
   e.rendezvous = e.bytes > net.eager_bytes;
 
   tl.advance(vcuda::us_to_ns(net.host_overhead_us));
@@ -134,9 +113,7 @@ int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
                           /*same_node=*/false) -
         vcuda::us_to_ns(e.src_gpu ? net.gpu_lat_inter_us
                                   : net.cpu_lat_inter_us);
-    e.send_time = world.reserve_nic(e.src_node,
-                                    comm->world_rank_of(comm->my_rank),
-                                    e.send_time, wire);
+    e.send_time = world.reserve_nic(e.src_node, src_world, e.send_time, wire);
     // The receive-side ejection port serializes at the same rate; carry the
     // residency so the receiver can price incast (see reserve_nic_eject).
     e.eject_ns = wire;
@@ -162,7 +139,41 @@ int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
                   transfer_duration(net, e.bytes, e.src_gpu, e.src_gpu,
                                     same_node));
   }
+}
 
+} // namespace
+
+int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
+              MPI_Comm comm) {
+  if (dest == MPI_PROC_NULL) {
+    return MPI_SUCCESS;
+  }
+  if (comm == nullptr || dt == nullptr || count < 0 || dest < 0 ||
+      dest >= comm->size()) {
+    return MPI_ERR_ARG;
+  }
+  assert(dt->committed && "send with uncommitted datatype");
+  World &world = *comm->world;
+  const int dst_world = comm->world_rank_of(dest);
+  Mailbox &box = world.mailbox(dst_world);
+
+  Envelope e;
+  e.src_comm_rank = comm->my_rank;
+  e.tag = tag;
+  e.comm_id = comm->id;
+  e.bytes = static_cast<std::size_t>(dt->size) * count;
+  // A receiver already blocked on this message takes the bytes in its own
+  // buffer (one copy); otherwise stage them, without zero-filling a buffer
+  // that is overwritten whole. A claimed receiver stays blocked until
+  // complete(), so nothing between the claim and it may return early.
+  Mailbox::Waiter *waiter = box.claim(e.src_comm_rank, tag, comm->id);
+  void *dst = direct_dst(waiter, e.bytes, *dt);
+  if (dst == nullptr) {
+    e.payload = std::make_unique_for_overwrite<std::byte[]>(e.bytes);
+    dst = e.payload.get();
+  }
+  e.src_gpu = write_wire(dst, buf, count, *dt, e.bytes);
+  price_departure(e, world, comm->world_rank_of(comm->my_rank), dst_world);
   if (waiter != nullptr) {
     box.complete(*waiter, std::move(e));
   } else {

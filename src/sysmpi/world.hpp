@@ -76,7 +76,8 @@ public:
   void deliver(Envelope &&e);
 
   /// Remove and return the earliest registered receiver matching a
-  /// message with this key, or null. The caller owns completing it.
+  /// message with this key, or null. The caller must complete() it: the
+  /// receiver stays blocked, and no later message can reach it, until then.
   Waiter *claim(int src_comm_rank, int tag, std::uint64_t comm_id);
 
   /// Wake a claimed receiver with its envelope.
