@@ -2,6 +2,7 @@
 
 #include "support/contended_mutex.hpp"
 #include "support/log.hpp"
+#include "support/striped_counter.hpp"
 #include "sysmpi/mpi.hpp"
 #include "tempi/topology.hpp"
 #include "tempi/trace.hpp"
@@ -102,22 +103,26 @@ struct PersistentChannel {
 
 namespace {
 
-/// One lock stripe of the request pool. A ticket hashes to exactly one
-/// shard, so per-request traffic serializes only with requests sharing its
-/// stripe, never with the whole rank. No code path ever holds two shard
-/// locks at once — every multi-shard walk (drain, in_flight, owns, the
-/// stats sums) takes shards one at a time in ascending index order — so
-/// lock ordering is trivially deadlock-free, including Waitall/Waitsome
-/// over arrays whose requests span shards.
-struct PoolShard {
+/// One lock stripe of the request pool. Each ticket names the shard that
+/// minted it, and a thread mints its tickets in its own home shard, so in
+/// steady state one thread's insert/find/extract lock a stripe no other
+/// thread touches. No code path ever holds two shard locks at once —
+/// every multi-shard walk (drain, in_flight, the stats sums) takes shards
+/// one at a time in ascending index order — so lock ordering is trivially
+/// deadlock-free, including Waitall/Waitsome over arrays whose requests
+/// span shards (a request may be completed on any thread). Cache-line
+/// aligned so neighbouring shards' lock words never share a line.
+struct alignas(64) PoolShard {
   support::ContendedMutex mutex;
+  std::uint64_t minted = 0; ///< tickets this shard has issued (under mutex)
   std::unordered_map<MPI_Request, std::unique_ptr<AsyncOp>> ops;
   std::unordered_map<MPI_Request, std::unique_ptr<PersistentChannel>>
       channels;
 };
 
 constexpr std::size_t kDefaultShards = 16;
-constexpr std::size_t kMaxShards = 256;
+constexpr unsigned kShardBits = 8;
+constexpr std::size_t kMaxShards = std::size_t{1} << kShardBits;
 
 struct Pool {
   /// Rebuilt only by configure_shards() on an idle pool (the install-time
@@ -165,36 +170,50 @@ Pool &pool() {
   return p;
 }
 
-/// The shard a ticket lives in, derived from the ticket value alone
-/// (tickets are object addresses; the multiplicative hash spreads their
-/// low-entropy high bits and allocator-aligned low bits).
-PoolShard &shard_for(Pool &p, MPI_Request ticket) {
-  const auto bits =
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(ticket));
-  const auto h = static_cast<std::size_t>((bits * 0x9e3779b97f4a7c15ULL) >> 32);
-  return *p.shards[h & p.mask];
+/// The calling thread's home shard: every ticket it creates lives there.
+std::size_t home_shard(const Pool &p) {
+  return support::this_thread_index() & p.mask;
 }
 
-/// The opaque handle handed to the application is the op's own address; it
-/// is never dereferenced as a system request, only used as a pool key.
-MPI_Request ticket_of(const AsyncOp *op) {
-  return reinterpret_cast<MPI_Request>(const_cast<AsyncOp *>(op));
+/// Tickets are opaque handles minted under the owning shard's lock, never
+/// dereferenced: bit 0 is set (system requests are object addresses, so
+/// theirs is clear), bits 1..kShardBits name the shard, and the rest is the
+/// shard's running serial, so a ticket is unique for the pool's lifetime.
+MPI_Request mint_ticket(PoolShard &s, std::size_t index) {
+  const std::uint64_t bits =
+      (++s.minted << (kShardBits + 1)) | (std::uint64_t{index} << 1) | 1;
+  return reinterpret_cast<MPI_Request>(static_cast<std::uintptr_t>(bits));
+}
+
+/// The shard that minted `ticket`, or null for anything that is not a pool
+/// ticket (system requests, MPI_REQUEST_NULL) — those are never owned.
+PoolShard *shard_of(Pool &p, MPI_Request ticket) {
+  const auto bits = reinterpret_cast<std::uintptr_t>(ticket);
+  if ((bits & 1) == 0) {
+    return nullptr;
+  }
+  const std::size_t index = (bits >> 1) & (kMaxShards - 1);
+  return index < p.shards.size() ? p.shards[index].get() : nullptr;
 }
 
 MPI_Request insert(std::unique_ptr<AsyncOp> op) {
   Pool &p = pool();
-  const MPI_Request ticket = ticket_of(op.get());
-  PoolShard &s = shard_for(p, ticket);
+  const std::size_t index = home_shard(p);
+  PoolShard &s = *p.shards[index];
   const std::lock_guard<support::ContendedMutex> lock(s.mutex);
+  const MPI_Request ticket = mint_ticket(s, index);
   s.ops.emplace(ticket, std::move(op));
   return ticket;
 }
 
 AsyncOp *find(MPI_Request ticket) {
-  PoolShard &s = shard_for(pool(), ticket);
-  const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-  const auto it = s.ops.find(ticket);
-  return it == s.ops.end() ? nullptr : it->second.get();
+  PoolShard *s = shard_of(pool(), ticket);
+  if (s == nullptr) {
+    return nullptr;
+  }
+  const std::lock_guard<support::ContendedMutex> lock(s->mutex);
+  const auto it = s->ops.find(ticket);
+  return it == s->ops.end() ? nullptr : it->second.get();
 }
 
 /// Shard-affine re-arm memo: the last few channel tickets this thread
@@ -225,12 +244,15 @@ PersistentChannel *find_channel(MPI_Request ticket) {
     memo.next = 0;
     memo.gen = gen;
   }
-  PoolShard &s = shard_for(p, ticket);
+  PoolShard *s = shard_of(p, ticket);
+  if (s == nullptr) {
+    return nullptr;
+  }
   PersistentChannel *ch = nullptr;
   {
-    const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-    const auto it = s.channels.find(ticket);
-    ch = it == s.channels.end() ? nullptr : it->second.get();
+    const std::lock_guard<support::ContendedMutex> lock(s->mutex);
+    const auto it = s->channels.find(ticket);
+    ch = it == s->channels.end() ? nullptr : it->second.get();
   }
   if (ch != nullptr) {
     memo.slots[memo.next] = {ticket, ch};
@@ -242,14 +264,17 @@ PersistentChannel *find_channel(MPI_Request ticket) {
 /// Remove the op from the pool; the unique_ptr keeps it alive until the
 /// caller finishes with it (buffers return to the cache on destruction).
 std::unique_ptr<AsyncOp> extract(MPI_Request ticket) {
-  PoolShard &s = shard_for(pool(), ticket);
-  const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-  const auto it = s.ops.find(ticket);
-  if (it == s.ops.end()) {
+  PoolShard *s = shard_of(pool(), ticket);
+  if (s == nullptr) {
+    return nullptr;
+  }
+  const std::lock_guard<support::ContendedMutex> lock(s->mutex);
+  const auto it = s->ops.find(ticket);
+  if (it == s->ops.end()) {
     return nullptr;
   }
   std::unique_ptr<AsyncOp> op = std::move(it->second);
-  s.ops.erase(it);
+  s->ops.erase(it);
   return op;
 }
 
@@ -818,9 +843,10 @@ int open_channel(std::unique_ptr<PersistentChannel> ch,
   }
   Pool &p = pool();
   p.p_inits.add();
-  const MPI_Request ticket = reinterpret_cast<MPI_Request>(ch.get());
-  PoolShard &s = shard_for(p, ticket);
+  const std::size_t index = home_shard(p);
+  PoolShard &s = *p.shards[index];
   const std::lock_guard<support::ContendedMutex> lock(s.mutex);
+  const MPI_Request ticket = mint_ticket(s, index);
   s.channels.emplace(ticket, std::move(ch));
   *request = ticket;
   return MPI_SUCCESS;
@@ -1051,14 +1077,17 @@ int request_free(MPI_Request *request, const interpose::MpiTable &next) {
   std::unique_ptr<PersistentChannel> ch;
   {
     Pool &p = pool();
-    PoolShard &s = shard_for(p, *request);
-    const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-    const auto it = s.channels.find(*request);
-    if (it == s.channels.end()) {
+    PoolShard *s = shard_of(p, *request);
+    if (s == nullptr) {
       return MPI_ERR_ARG; // caller must check owns() first
     }
+    const std::lock_guard<support::ContendedMutex> lock(s->mutex);
+    const auto it = s->channels.find(*request);
+    if (it == s->channels.end()) {
+      return MPI_ERR_ARG;
+    }
     ch = std::move(it->second);
-    s.channels.erase(it);
+    s->channels.erase(it);
     // Invalidate every thread's channel memo before the channel dies.
     p.channel_gen.fetch_add(1, std::memory_order_release);
   }
@@ -1103,14 +1132,14 @@ std::size_t persistent_open() {
 }
 
 bool owns(MPI_Request request) {
-  if (request == MPI_REQUEST_NULL) {
+  // A ticket lives in the one shard it names, so one stripe answers both
+  // maps' membership; system requests are turned away without a lock.
+  PoolShard *s = shard_of(pool(), request);
+  if (s == nullptr) {
     return false;
   }
-  // A ticket can live in exactly one shard, so one stripe answers both
-  // maps' membership.
-  PoolShard &s = shard_for(pool(), request);
-  const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-  return s.ops.contains(request) || s.channels.contains(request);
+  const std::lock_guard<support::ContendedMutex> lock(s->mutex);
+  return s->ops.contains(request) || s->channels.contains(request);
 }
 
 int wait(MPI_Request *request, MPI_Status *status,
@@ -1659,8 +1688,8 @@ bool configure_shards(std::size_t n) {
   Pool &p = pool();
   const std::size_t want =
       std::bit_ceil(std::clamp<std::size_t>(n, 1, kMaxShards));
-  // The layout can only change while the pool is idle: an op or channel
-  // keyed under the old hash would be unreachable under the new one.
+  // The layout can only change while the pool is idle: a live ticket names
+  // its shard under the old layout.
   for (const auto &s : p.shards) {
     const std::lock_guard<support::ContendedMutex> lock(s->mutex);
     if (!s->ops.empty() || !s->channels.empty()) {

@@ -257,21 +257,24 @@ std::size_t drain(const interpose::MpiTable &next);
 
 // --- lock-striped pool layout (thread-multiple hot path) ---------------------
 //
-// The pool is N lock stripes (shards); a ticket hashes to exactly one, so
-// concurrent callers on one rank serialize only when their requests share
-// a stripe. No engine path ever holds two shard locks at once, so the
-// layout is deadlock-free by construction even for Waitall/Waitsome over
-// arrays spanning shards. Persistent Start/Wait replay consults a
-// per-thread channel memo validated by a generation counter and is
-// lock-free in steady state (the memo invalidates whenever any channel is
-// destroyed).
+// The pool is N lock stripes (shards). Each thread has a home shard and
+// every ticket it creates is minted there and carries that shard's index,
+// so a steady-state thread inserts, finds and retires its requests under
+// a lock no other thread takes; a request started on one thread may still
+// be waited or tested on any other. System requests carry no shard and
+// are forwarded without touching a shard lock. No engine path ever holds
+// two shard locks at once, so the layout is deadlock-free by construction
+// even for Waitall/Waitsome over arrays spanning shards. Persistent
+// Start/Wait replay consults a per-thread channel memo validated by a
+// generation counter and is lock-free in steady state (the memo
+// invalidates whenever any channel is destroyed).
 
 /// Rebuild the pool with `n` shards (clamped to [1, 256], rounded up to a
 /// power of two). Only legal while the pool is idle — no in-flight ops, no
-/// open channels — because tickets are keyed by the current hash; returns
-/// false (and changes nothing) otherwise. tempi::install() calls this with
-/// TEMPI_SHARDS; 1 restores the pre-shard single-lock layout (bisection
-/// kill switch).
+/// open channels — because tickets name a shard of the current layout;
+/// returns false (and changes nothing) otherwise. tempi::install() calls
+/// this with TEMPI_SHARDS; 1 restores the pre-shard single-lock layout
+/// (bisection kill switch).
 bool configure_shards(std::size_t n);
 
 /// Current number of lock stripes.

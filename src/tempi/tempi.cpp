@@ -38,7 +38,12 @@ namespace {
 /// One slot of the open-addressed datatype-handle cache (the per-send fast
 /// path). Slots are seqlock-published: `seq` is even when stable, odd while
 /// a writer owns the slot, so a reader that sees consistent even `seq`
-/// around its field loads got an untorn (dt, packer, gen) triple. Any
+/// around its field loads got an untorn (dt, packer, gen) triple. The
+/// field stores are releases and the field loads acquires (plain moves on
+/// x86), so a reader that loads any field a newer writer stored is ordered
+/// after that writer's odd `seq` and its second `seq` load cannot match —
+/// the seqlock needs no standalone fence, which ThreadSanitizer cannot
+/// model (GCC rejects one under -fsanitize=thread with -Werror). Any
 /// commit or free bumps the global generation, invalidating every slot at
 /// once; raw packer pointers stay safe because freed packers are retired,
 /// not destroyed (see State::retired_packers).
@@ -187,11 +192,10 @@ const Packer *lookup_packer_fast(MPI_Datatype dt) {
     if ((s1 & 1) != 0) {
       continue; // mid-write
     }
-    const MPI_Datatype d = slot.dt.load(std::memory_order_relaxed);
-    const Packer *pk = slot.packer.load(std::memory_order_relaxed);
-    const std::uint64_t g = slot.gen.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != s1) {
+    const MPI_Datatype d = slot.dt.load(std::memory_order_acquire);
+    const Packer *pk = slot.packer.load(std::memory_order_acquire);
+    const std::uint64_t g = slot.gen.load(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_acquire) != s1) {
       continue; // torn by a concurrent writer
     }
     if (d == dt && g == gen) {
@@ -223,9 +227,9 @@ const Packer *lookup_packer_fast(MPI_Datatype dt) {
   if ((expected & 1) == 0 &&
       slot.seq.compare_exchange_strong(expected, expected + 1,
                                        std::memory_order_acquire)) {
-    slot.dt.store(dt, std::memory_order_relaxed);
-    slot.packer.store(pk, std::memory_order_relaxed);
-    slot.gen.store(gen, std::memory_order_relaxed);
+    slot.dt.store(dt, std::memory_order_release);
+    slot.packer.store(pk, std::memory_order_release);
+    slot.gen.store(gen, std::memory_order_release);
     slot.seq.store(expected + 2, std::memory_order_release);
   }
   return pk;

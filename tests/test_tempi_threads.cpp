@@ -99,8 +99,9 @@ TEST_F(TempiThreads, ConcurrentIsendIrecvWaitFromPlainThreads) {
 }
 
 TEST_F(TempiThreads, MixedPersistentAndNonPersistentArraysAcrossShards) {
-  // Tickets hash across shards; one Waitall spans persistent tickets
-  // (which re-arm) and plain ops (which retire) from four threads at once.
+  // Each thread's tickets live in its own home shard; one Waitall spans
+  // persistent tickets (which re-arm) and plain ops (which retire) from
+  // four threads at once.
   ASSERT_GT(tempi::async::shard_count(), 1u);
   constexpr int kThreads = 4;
   constexpr int kRounds = 12;
@@ -167,6 +168,127 @@ TEST_F(TempiThreads, MixedPersistentAndNonPersistentArraysAcrossShards) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(tempi::async::in_flight(), 0u);
   EXPECT_EQ(tempi::async::persistent_open(), 0u);
+}
+
+TEST_F(TempiThreads, RequestStartedOnOneThreadCompletesOnAnother) {
+  // A ticket names the shard of the thread that started it, so any other
+  // thread can still complete it. Sends only: their wire leg is posted at
+  // Isend time, while a receive is matched in the completing thread's own
+  // single-rank world.
+  std::atomic<MPI_Request> waited{MPI_REQUEST_NULL};
+  std::atomic<MPI_Request> tested{MPI_REQUEST_NULL};
+  std::atomic<int> stage{0}; // 1: tickets published, 2: both completed
+  std::atomic<int> failures{0};
+  std::thread owner([&] {
+    int provided = 0;
+    MPI_Init_thread(nullptr, nullptr, MPI_THREAD_MULTIPLE, &provided);
+    MPI_Datatype t = nullptr;
+    MPI_Type_vector(16, 8, 24, MPI_BYTE, &t);
+    MPI_Type_commit(&t);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    const std::size_t bytes = static_cast<std::size_t>(extent) + 8;
+    SpaceBuffer src(vcuda::MemorySpace::Device, bytes);
+    SpaceBuffer dst(vcuda::MemorySpace::Device, bytes);
+    fill_pattern(src.get(), src.size(), 21);
+    MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+    if (MPI_Isend(src.get(), 1, t, 0, 1, MPI_COMM_WORLD, &reqs[0]) !=
+            MPI_SUCCESS ||
+        MPI_Isend(src.get(), 1, t, 0, 2, MPI_COMM_WORLD, &reqs[1]) !=
+            MPI_SUCCESS ||
+        !tempi::async::owns(reqs[0]) || !tempi::async::owns(reqs[1])) {
+      failures.fetch_add(1);
+    }
+    waited.store(reqs[0]);
+    tested.store(reqs[1]);
+    stage.store(1, std::memory_order_release);
+    while (stage.load(std::memory_order_acquire) != 2) {
+      std::this_thread::yield();
+    }
+    for (int tag = 1; tag <= 2; ++tag) {
+      std::memset(dst.get(), 0, dst.size());
+      if (MPI_Recv(dst.get(), 1, t, 0, tag, MPI_COMM_WORLD,
+                   MPI_STATUS_IGNORE) != MPI_SUCCESS ||
+          reference_pack(dst.get(), 1, *t) !=
+              reference_pack(src.get(), 1, *t)) {
+        failures.fetch_add(1);
+      }
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  std::thread completer([&] {
+    int provided = 0;
+    MPI_Init_thread(nullptr, nullptr, MPI_THREAD_MULTIPLE, &provided);
+    while (stage.load(std::memory_order_acquire) != 1) {
+      std::this_thread::yield();
+    }
+    MPI_Request w = waited.load();
+    MPI_Request r = tested.load();
+    // Seen from here as TEMPI tickets; anything else would be forwarded
+    // to the system MPI as if it were one of its own requests.
+    if (!tempi::async::owns(w) || !tempi::async::owns(r)) {
+      failures.fetch_add(1);
+      stage.store(2, std::memory_order_release);
+      MPI_Finalize();
+      return;
+    }
+    if (MPI_Wait(&w, MPI_STATUS_IGNORE) != MPI_SUCCESS ||
+        w != MPI_REQUEST_NULL) {
+      failures.fetch_add(1);
+    }
+    int flag = 0;
+    for (int i = 0; i < 1000 && flag == 0; ++i) {
+      if (MPI_Test(&r, &flag, MPI_STATUS_IGNORE) != MPI_SUCCESS) {
+        break;
+      }
+    }
+    if (flag == 0 || r != MPI_REQUEST_NULL) {
+      failures.fetch_add(1);
+    }
+    stage.store(2, std::memory_order_release);
+    MPI_Finalize();
+  });
+  owner.join();
+  completer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+}
+
+TEST_F(TempiThreads, SystemRequestsStillForwardedByWaitAndTest) {
+  // Host buffers of a contiguous type take the system path: the returned
+  // requests are system requests, which carry no shard and must reach the
+  // system MPI's Wait/Test untouched.
+  std::atomic<int> failures{0};
+  std::thread worker([&failures] {
+    int provided = 0;
+    MPI_Init_thread(nullptr, nullptr, MPI_THREAD_MULTIPLE, &provided);
+    int out[4] = {7, 8, 9, 10};
+    int in[4] = {0, 0, 0, 0};
+    MPI_Request send = MPI_REQUEST_NULL;
+    MPI_Request recv = MPI_REQUEST_NULL;
+    bool ok =
+        MPI_Isend(out, 4, MPI_INT, 0, 3, MPI_COMM_WORLD, &send) ==
+            MPI_SUCCESS &&
+        MPI_Irecv(in, 4, MPI_INT, 0, 3, MPI_COMM_WORLD, &recv) ==
+            MPI_SUCCESS &&
+        send != MPI_REQUEST_NULL && recv != MPI_REQUEST_NULL &&
+        !tempi::async::owns(send) && !tempi::async::owns(recv);
+    ok = ok && MPI_Wait(&send, MPI_STATUS_IGNORE) == MPI_SUCCESS &&
+         send == MPI_REQUEST_NULL;
+    int flag = 0;
+    for (int i = 0; ok && i < 1000 && flag == 0; ++i) {
+      ok = MPI_Test(&recv, &flag, MPI_STATUS_IGNORE) == MPI_SUCCESS;
+    }
+    ok = ok && flag == 1 && recv == MPI_REQUEST_NULL && in[0] == 7 &&
+         in[3] == 10;
+    if (!ok) {
+      failures.fetch_add(1);
+    }
+    MPI_Finalize();
+  });
+  worker.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST_F(TempiThreads, MagazineOverflowFlushesToDepot) {

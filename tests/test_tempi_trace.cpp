@@ -3,7 +3,8 @@
 // concurrent emits from plain threads, the Chrome trace-event export's
 // structure, the disabled path's no-allocation guarantee, flush()
 // idempotence, and the counter registry: unique names covering everything
-// perfbench reads, and reset_counters() zeroing counters but not gauges.
+// perfbench reads, reset_counters() zeroing counters but not gauges, and
+// per-thread counter stripes summing exactly.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/buffer_cache.hpp"
@@ -411,6 +412,42 @@ TEST_F(TempiTrace, ResetCountersZeroesCountersOnly) {
   static trace::Counter late("test.trace.late");
   late.add(3);
   EXPECT_EQ(trace::counter_value("test.trace.late"), 3u);
+}
+
+TEST_F(TempiTrace, StripedCountersSumExactlyAcrossThreads) {
+  // More threads than stripes, so some threads share a stripe: the sum
+  // read through the registry (and vcuda's counters) is still exact.
+  constexpr int kThreads = static_cast<int>(support::kCounterStripes) + 4;
+  constexpr int kAdds = 500;
+  static trace::Counter striped("test.trace.striped");
+  const std::uint64_t fences0 = vcuda::counters().stream_fences;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kAdds; ++i) {
+        striped.add();
+        vcuda::StreamFence(nullptr);
+      }
+      striped.add(2);
+    });
+  }
+  for (std::thread &t : threads) {
+    t.join();
+  }
+  constexpr std::uint64_t kExpected =
+      static_cast<std::uint64_t>(kThreads) * (kAdds + 2);
+  EXPECT_EQ(trace::counter_value("test.trace.striped"), kExpected);
+  EXPECT_EQ(vcuda::counters().stream_fences - fences0,
+            static_cast<std::uint64_t>(kThreads) * kAdds);
+  const auto snap = trace::counter_snapshot();
+  const auto it = std::find_if(snap.begin(), snap.end(), [](const auto &kv) {
+    return kv.first == "test.trace.striped";
+  });
+  ASSERT_NE(it, snap.end());
+  EXPECT_EQ(it->second, kExpected);
+  trace::reset_counters();
+  EXPECT_EQ(trace::counter_value("test.trace.striped"), 0u);
 }
 
 TEST_F(TempiTrace, StatsReportPrintsCountersAndPhases) {
