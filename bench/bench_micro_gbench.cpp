@@ -144,11 +144,13 @@ void BM_ModelChoose(benchmark::State &state) {
 }
 BENCHMARK(BM_ModelChoose);
 
-// Host cost of the pack kernel body: one 1 MiB object of `block`-byte rows
-// at a 2 * block + pad pitch, packed device-to-device. An odd pad makes
-// the rows misaligned (word size 1). The modeled device time is
-// irrelevant here; the wall time is the CPU executing the kernel body.
-void BM_PackHost(benchmark::State &state) {
+// Host cost of the pack and unpack kernel bodies: one 1 MiB object of
+// `block`-byte rows at a 2 * block + pad pitch, moved device-to-device.
+// An odd pad makes the rows misaligned (word size 1). The modeled device
+// time is irrelevant here; the wall time is the CPU executing the kernel
+// body. Unpack is the scatter direction: one store per row on the
+// strided side.
+void host_copy_bench(benchmark::State &state, bool pack) {
   constexpr long long kObjectBytes = 1 << 20;
   const long long block = state.range(0);
   tempi::StridedBlock sb;
@@ -161,20 +163,28 @@ void BM_PackHost(benchmark::State &state) {
   vcuda::Malloc(&flat, static_cast<std::size_t>(sb.size()));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        packer.pack(flat, obj, 1, vcuda::default_stream()));
-    benchmark::DoNotOptimize(flat);
+        pack ? packer.pack(flat, obj, 1, vcuda::default_stream())
+             : packer.unpack(obj, flat, 1, vcuda::default_stream()));
+    benchmark::DoNotOptimize(pack ? flat : obj);
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * sb.size());
   vcuda::Free(flat);
   vcuda::Free(obj);
 }
-BENCHMARK(BM_PackHost)
-    ->ArgNames({"block", "pad"})
-    ->ArgsProduct({{1, 2, 3, 8, 12, 24, 64, 100, 256, 1024, 4096}, {0}})
-    ->Args({63, 1})
-    ->Args({64, 1})
-    ->Args({100, 1});
+
+void BM_PackHost(benchmark::State &state) { host_copy_bench(state, true); }
+void BM_UnpackHost(benchmark::State &state) { host_copy_bench(state, false); }
+
+void host_copy_grid(benchmark::internal::Benchmark *b) {
+  b->ArgNames({"block", "pad"})
+      ->ArgsProduct({{1, 2, 3, 4, 8, 12, 24, 64, 100, 256, 1024, 4096}, {0}})
+      ->Args({63, 1})
+      ->Args({64, 1})
+      ->Args({100, 1});
+}
+BENCHMARK(BM_PackHost)->Apply(host_copy_grid);
+BENCHMARK(BM_UnpackHost)->Apply(host_copy_grid);
 
 } // namespace
 

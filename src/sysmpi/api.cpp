@@ -364,15 +364,15 @@ int sys_Sendrecv(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
 } // namespace
 
 /// Request object: sends complete eagerly at Isend time; receives are
-/// matched lazily at Wait/Test. Persistent requests (MPI_Send_init /
-/// MPI_Recv_init) store the frozen call arguments and toggle `active`
-/// across Start -> Wait/Test cycles instead of being destroyed on
-/// completion; only MPI_Request_free retires them.
+/// posted to the mailbox at Irecv/Start time, so they match messages in
+/// posting order, and completed at Wait/Test. Persistent requests
+/// (MPI_Send_init / MPI_Recv_init) store the frozen call arguments and
+/// toggle `active` across Start -> Wait/Test cycles instead of being
+/// destroyed on completion; only MPI_Request_free retires them.
 struct Request {
   enum class Kind {
     SendDone,
-    RecvPending,
-    RecvDone,
+    Recv,
     PersistentSend,
     PersistentRecv,
   };
@@ -386,6 +386,8 @@ struct Request {
   MPI_Status status{};
   bool active = false; ///< persistent only: armed by Start, cleared at
                        ///< completion
+  bool posted = false; ///< `rx` is posted and not yet completed
+  Mailbox::Receive rx; ///< the receive posted for this request
   [[nodiscard]] bool persistent() const {
     return kind == Kind::PersistentSend || kind == Kind::PersistentRecv;
   }
@@ -408,21 +410,54 @@ int sys_Isend(const void *buf, int count, MPI_Datatype datatype, int dest,
   return MPI_SUCCESS;
 }
 
+/// Post a receive request's receive. From MPI_PROC_NULL nothing is
+/// posted: the request completes with the empty PROC_NULL status.
+int post_request(Request &r) {
+  if (r.peer == MPI_PROC_NULL) {
+    proc_null_status(&r.status);
+    return MPI_SUCCESS;
+  }
+  const int rc =
+      post_recv(r.buf, r.count, r.datatype, r.peer, r.tag, r.comm, r.rx);
+  r.posted = rc == MPI_SUCCESS;
+  return rc;
+}
+
+/// Complete a receive request's posted receive into r.status, blocking
+/// for its message if `block`. *flag reports completion; an erroneous
+/// completion (truncation) completes too, with the code in MPI_ERROR.
+int finish_request(Request &r, bool block, int *flag) {
+  *flag = 1;
+  if (!r.posted) {
+    return MPI_SUCCESS;
+  }
+  if (!block && !recv_ready(r.comm, r.rx)) {
+    *flag = 0;
+    return MPI_SUCCESS;
+  }
+  r.posted = false;
+  return finish_recv(r.buf, r.count, r.datatype, r.comm, r.rx, &r.status);
+}
+
 int sys_Irecv(void *buf, int count, MPI_Datatype datatype, int source, int tag,
               MPI_Comm comm, MPI_Request *request) {
   if (request == nullptr || comm == nullptr || !valid_source(comm, source)) {
     return MPI_ERR_ARG;
   }
-  auto *r = new Request();
-  r->kind = Request::Kind::RecvPending;
+  auto r = std::make_unique<Request>();
+  r->kind = Request::Kind::Recv;
   r->buf = buf;
   r->count = count;
   r->datatype = datatype;
-  type_retain(datatype);
   r->peer = source;
   r->tag = tag;
   r->comm = comm;
-  *request = r;
+  const int rc = post_request(*r);
+  if (rc != MPI_SUCCESS) {
+    return rc;
+  }
+  type_retain(datatype);
+  *request = r.release();
   return MPI_SUCCESS;
 }
 
@@ -437,25 +472,29 @@ void complete_request(MPI_Request *request, MPI_Status *status) {
   *request = MPI_REQUEST_NULL;
 }
 
-/// Complete a persistent request's current arming (blocking for an active
-/// receive); the handle survives, toggled back to inactive. A Wait/Test on
-/// an inactive persistent request completes immediately with an empty
-/// status, per MPI.
-int complete_persistent(Request &r, MPI_Status *status) {
-  if (r.active && r.kind == Request::Kind::PersistentRecv) {
-    const int rc = recv_impl(r.buf, r.count, r.datatype, r.peer, r.tag, r.comm,
-                             &r.status);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-  } else if (!r.active) {
+/// Complete a request (blocking for its message if `block`): a one-shot
+/// request is freed, a persistent one toggled back to inactive. A
+/// Wait/Test on an inactive persistent request completes immediately with
+/// an empty status, per MPI.
+int complete(MPI_Request *request, bool block, int *flag,
+             MPI_Status *status) {
+  Request &r = **request;
+  if (r.persistent() && !r.active) {
     r.status = MPI_Status{}; // empty status: never armed or already done
+  }
+  const int rc = finish_request(r, block, flag);
+  if (*flag == 0) {
+    return MPI_SUCCESS;
+  }
+  if (!r.persistent()) {
+    complete_request(request, status);
+    return rc;
   }
   r.active = false;
   if (status != MPI_STATUS_IGNORE) {
     *status = r.status;
   }
-  return MPI_SUCCESS;
+  return rc;
 }
 
 int sys_Wait(MPI_Request *request, MPI_Status *status) {
@@ -465,19 +504,8 @@ int sys_Wait(MPI_Request *request, MPI_Status *status) {
   if (*request == MPI_REQUEST_NULL) {
     return MPI_SUCCESS;
   }
-  Request &r = **request;
-  if (r.persistent()) {
-    return complete_persistent(r, status);
-  }
-  if (r.kind == Request::Kind::RecvPending) {
-    const int rc = recv_impl(r.buf, r.count, r.datatype, r.peer, r.tag, r.comm,
-                             &r.status);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-  }
-  complete_request(request, status);
-  return MPI_SUCCESS;
+  int flag = 0;
+  return complete(request, /*block=*/true, &flag, status);
 }
 
 int sys_Waitall(int count, MPI_Request *requests, MPI_Status *statuses) {
@@ -524,12 +552,12 @@ int sys_Waitany(int count, MPI_Request *requests, int *index,
       }
       int flag = 0;
       const int rc = sys_Test(&requests[i], &flag, status);
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
       if (flag != 0) {
         *index = i;
-        return MPI_SUCCESS;
+        return rc;
+      }
+      if (rc != MPI_SUCCESS) {
+        return rc;
       }
     }
     vcuda::this_thread_timeline().advance(100);
@@ -593,36 +621,7 @@ int sys_Test(MPI_Request *request, int *flag, MPI_Status *status) {
     *flag = 1;
     return MPI_SUCCESS;
   }
-  Request &r = **request;
-  if (r.persistent()) {
-    if (r.active && r.kind == Request::Kind::PersistentRecv &&
-        !try_recv_impl(r.buf, r.count, r.datatype, r.peer, r.tag, r.comm,
-                       &r.status)) {
-      *flag = 0;
-      return MPI_SUCCESS;
-    }
-    if (r.active && r.kind == Request::Kind::PersistentRecv) {
-      r.active = false;
-      if (status != MPI_STATUS_IGNORE) {
-        *status = r.status;
-      }
-      *flag = 1;
-      return MPI_SUCCESS;
-    }
-    *flag = 1;
-    return complete_persistent(r, status);
-  }
-  if (r.kind == Request::Kind::RecvPending) {
-    if (!try_recv_impl(r.buf, r.count, r.datatype, r.peer, r.tag, r.comm,
-                       &r.status)) {
-      *flag = 0;
-      return MPI_SUCCESS;
-    }
-    r.kind = Request::Kind::RecvDone;
-  }
-  *flag = 1;
-  complete_request(request, status);
-  return MPI_SUCCESS;
+  return complete(request, /*block=*/false, flag, status);
 }
 
 // --- persistent requests and the remaining completion calls ------------------
@@ -671,16 +670,17 @@ int sys_Start(MPI_Request *request) {
   if (!r.persistent() || r.active) {
     return MPI_ERR_ARG; // not a persistent request, or already armed
   }
-  if (r.kind == Request::Kind::PersistentSend) {
-    // Sends are buffered: the transfer completes eagerly at Start, exactly
-    // like sys_Isend; Wait/Test merely disarm the request.
-    const int rc = send_impl(r.buf, r.count, r.datatype, r.peer, r.tag,
-                             r.comm);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
+  // Sends are buffered: the transfer completes eagerly at Start, exactly
+  // like sys_Isend; Wait/Test merely disarm the request. Receives are
+  // posted now, like sys_Irecv's.
+  const int rc =
+      r.kind == Request::Kind::PersistentSend
+          ? send_impl(r.buf, r.count, r.datatype, r.peer, r.tag, r.comm)
+          : post_request(r);
+  if (rc != MPI_SUCCESS) {
+    return rc;
   }
-  r.active = true; // receives are matched lazily at Wait/Test
+  r.active = true;
   return MPI_SUCCESS;
 }
 
@@ -701,11 +701,14 @@ int sys_Request_free(MPI_Request *request) {
   if (request == nullptr || *request == MPI_REQUEST_NULL) {
     return MPI_ERR_ARG;
   }
-  // Never blocks: sends (persistent or not) completed eagerly at
-  // Start/Isend time, and a pending or armed receive is discarded without
-  // waiting for a matching message — freeing must not hang on a sender
-  // that never comes.
+  // Sends (persistent or not) completed eagerly at Start/Isend time, and a
+  // pending or armed receive is withdrawn without waiting for a matching
+  // message: freeing must not hang on a sender that never comes. It waits
+  // only for a sender that is already writing into the receive buffer.
   Request &r = **request;
+  if (r.posted) {
+    withdraw_recv(r.comm, r.rx);
+  }
   if (r.datatype != nullptr) {
     type_release(r.datatype);
   }
@@ -761,13 +764,13 @@ int sys_Testany(int count, MPI_Request *requests, int *index, int *flag,
     any_active = true;
     int f = 0;
     const int rc = sys_Test(&requests[i], &f, status);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
     if (f != 0) {
       *index = i;
       *flag = 1;
-      return MPI_SUCCESS;
+      return rc;
+    }
+    if (rc != MPI_SUCCESS) {
+      return rc;
     }
   }
   *index = MPI_UNDEFINED;
@@ -794,11 +797,12 @@ int sys_Testsome(int incount, MPI_Request *requests, int *outcount,
                              : &statuses[done];
     int f = 0;
     const int rc = sys_Test(&requests[i], &f, status);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
     if (f != 0) {
       indices[done++] = i;
+    }
+    if (rc != MPI_SUCCESS) {
+      *outcount = done;
+      return rc;
     }
   }
   *outcount = any_active ? done : MPI_UNDEFINED;

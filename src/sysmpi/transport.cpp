@@ -17,7 +17,7 @@ bool is_gpu(const void *p) {
 }
 
 /// Write the outgoing message as contiguous wire bytes at `dst`: host
-/// staging, or a blocked receiver's buffer. For contiguous data this is
+/// staging, or a posted receive's buffer. For contiguous data this is
 /// free of *virtual* cost (the CUDA-aware wire model prices the transfer);
 /// for non-contiguous data the baseline datatype engine runs and charges
 /// its per-block costs (the slow Spectrum-like path).
@@ -38,22 +38,22 @@ bool write_wire(void *dst, const void *buf, int count, const Datatype &dt,
   return false;
 }
 
-/// The claimed receiver's buffer if the sender may write the message into
+/// The claimed receive's buffer if the sender may write the message into
 /// it in place, else null (stage instead). The receive type must be
 /// contiguous (dst set) and hold the message: a larger one reaches the
-/// receiver staged, to report truncation with its buffer untouched. The
+/// receive staged, to report truncation with its buffer untouched. The
 /// baseline engine prices block copies by where the destination lives, so
 /// a non-contiguous send packs in place only into host memory, where its
 /// staging would have gone.
-void *direct_dst(const Mailbox::Waiter *w, std::size_t bytes,
+void *direct_dst(const Mailbox::Receive *r, std::size_t bytes,
                  const Datatype &dt) {
-  if (w == nullptr || w->dst == nullptr || bytes > w->capacity) {
+  if (r == nullptr || r->dst == nullptr || bytes > r->capacity) {
     return nullptr;
   }
-  if (!dt.is_contiguous() && is_gpu(w->dst)) {
+  if (!dt.is_contiguous() && is_gpu(r->dst)) {
     return nullptr;
   }
-  return w->dst;
+  return r->dst;
 }
 
 /// Deliver staged host bytes into the user buffer, mirroring write_wire.
@@ -162,20 +162,20 @@ int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
   e.tag = tag;
   e.comm_id = comm->id;
   e.bytes = static_cast<std::size_t>(dt->size) * count;
-  // A receiver already blocked on this message takes the bytes in its own
+  // A receive already posted for this message takes the bytes in its own
   // buffer (one copy); otherwise stage them, without zero-filling a buffer
-  // that is overwritten whole. A claimed receiver stays blocked until
+  // that is overwritten whole. A claimed receive stays pending until
   // complete(), so nothing between the claim and it may return early.
-  Mailbox::Waiter *waiter = box.claim(e.src_comm_rank, tag, comm->id);
-  void *dst = direct_dst(waiter, e.bytes, *dt);
+  Mailbox::Receive *posted = box.claim(e.src_comm_rank, tag, comm->id);
+  void *dst = direct_dst(posted, e.bytes, *dt);
   if (dst == nullptr) {
     e.payload = std::make_unique_for_overwrite<std::byte[]>(e.bytes);
     dst = e.payload.get();
   }
   e.src_gpu = write_wire(dst, buf, count, *dt, e.bytes);
   price_departure(e, world, comm->world_rank_of(comm->my_rank), dst_world);
-  if (waiter != nullptr) {
-    box.complete(*waiter, std::move(e));
+  if (posted != nullptr) {
+    box.complete(*posted, std::move(e));
   } else {
     box.deliver(std::move(e));
   }
@@ -184,12 +184,22 @@ int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
 
 namespace {
 
+Mailbox &my_mailbox(MPI_Comm comm) {
+  return comm->world->mailbox(comm->world_rank_of(comm->my_rank));
+}
+
 /// Complete a matched receive: advance virtual time and move a staged
 /// payload into the user buffer (a direct one is there already).
-int finish_recv(void *buf, int count, MPI_Datatype dt, MPI_Comm comm,
-                Envelope &e, MPI_Status *status) {
+int land_recv(void *buf, int count, MPI_Datatype dt, MPI_Comm comm,
+              Envelope &e, MPI_Status *status) {
   const std::size_t expected = static_cast<std::size_t>(dt->size) * count;
   if (e.bytes > expected) {
+    if (status != MPI_STATUS_IGNORE) {
+      status->MPI_SOURCE = e.src_comm_rank;
+      status->MPI_TAG = e.tag;
+      status->MPI_ERROR = MPI_ERR_TRUNCATE;
+      status->count_bytes = 0; // the buffer is left untouched
+    }
     return MPI_ERR_TRUNCATE;
   }
   World &world = *comm->world;
@@ -247,30 +257,45 @@ int recv_impl(void *buf, int count, MPI_Datatype dt, int source, int tag,
     proc_null_status(status);
     return MPI_SUCCESS;
   }
+  Mailbox::Receive r;
+  const int rc = post_recv(buf, count, dt, source, tag, comm, r);
+  if (rc != MPI_SUCCESS) {
+    return rc;
+  }
+  return finish_recv(buf, count, dt, comm, r, status);
+}
+
+int post_recv(void *buf, int count, MPI_Datatype dt, int source, int tag,
+              MPI_Comm comm, Mailbox::Receive &r) {
   if (comm == nullptr || dt == nullptr || count < 0 ||
-      !valid_source(comm, source)) {
+      source == MPI_PROC_NULL || !valid_source(comm, source)) {
     return MPI_ERR_ARG;
   }
   assert(dt->committed && "recv with uncommitted datatype");
-  World &world = *comm->world;
+  r.src = source;
+  r.tag = tag;
+  r.comm_id = comm->id;
   // Only a contiguous receive type can be filled in place by the sender.
-  void *dst = dt->is_contiguous() ? buf : nullptr;
-  Envelope e = world.mailbox(comm->world_rank_of(comm->my_rank))
-                   .take(source, tag, comm->id, dst,
-                         static_cast<std::size_t>(dt->size) * count);
-  return finish_recv(buf, count, dt, comm, e, status);
+  r.dst = dt->is_contiguous() ? buf : nullptr;
+  r.capacity = static_cast<std::size_t>(dt->size) * count;
+  r.env = Envelope{}; // a re-posted persistent receive drops the last one
+  my_mailbox(comm).post(r);
+  return MPI_SUCCESS;
 }
 
-bool try_recv_impl(void *buf, int count, MPI_Datatype dt, int source, int tag,
-                   MPI_Comm comm, MPI_Status *status) {
-  World &world = *comm->world;
-  Envelope e;
-  if (!world.mailbox(comm->world_rank_of(comm->my_rank))
-           .try_take(source, tag, comm->id, e)) {
-    return false;
-  }
-  finish_recv(buf, count, dt, comm, e, status);
-  return true;
+bool recv_ready(MPI_Comm comm, Mailbox::Receive &r) {
+  return my_mailbox(comm).test(r);
+}
+
+int finish_recv(void *buf, int count, MPI_Datatype dt, MPI_Comm comm,
+                Mailbox::Receive &r, MPI_Status *status) {
+  my_mailbox(comm).wait(r);
+  return land_recv(buf, count, dt, comm, r.env, status);
+}
+
+void withdraw_recv(MPI_Comm comm, Mailbox::Receive &r) {
+  my_mailbox(comm).withdraw(r);
+  r.env = Envelope{};
 }
 
 } // namespace sysmpi

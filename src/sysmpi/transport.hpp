@@ -26,9 +26,25 @@ int send_impl(const void *buf, int count, MPI_Datatype dt, int dest, int tag,
 int recv_impl(void *buf, int count, MPI_Datatype dt, int source, int tag,
               MPI_Comm comm, MPI_Status *status);
 
-/// Non-blocking receive attempt; returns true (and fills status) if a
-/// matching message was already available.
-bool try_recv_impl(void *buf, int count, MPI_Datatype dt, int source, int tag,
-                   MPI_Comm comm, MPI_Status *status);
+/// Post a receive into count*dt at buf from `source` (comm rank or
+/// MPI_ANY_SOURCE, not MPI_PROC_NULL) on the caller's mailbox, so it
+/// matches messages ahead of every receive posted after it. `r` must stay
+/// alive until finish_recv completes it or withdraw_recv returns.
+int post_recv(void *buf, int count, MPI_Datatype dt, int source, int tag,
+              MPI_Comm comm, Mailbox::Receive &r);
+
+/// Whether the posted receive `r` holds its message (never blocks).
+bool recv_ready(MPI_Comm comm, Mailbox::Receive &r);
+
+/// Complete the posted receive `r` with the arguments it was posted with,
+/// blocking until its message arrives: prices the transfer, delivers the
+/// bytes and fills `status` if non-null. A message larger than the buffer
+/// leaves it untouched and returns MPI_ERR_TRUNCATE, also in MPI_ERROR.
+int finish_recv(void *buf, int count, MPI_Datatype dt, MPI_Comm comm,
+                Mailbox::Receive &r, MPI_Status *status);
+
+/// Withdraw a posted receive that will not be completed (a message
+/// already matched to it is dropped).
+void withdraw_recv(MPI_Comm comm, Mailbox::Receive &r);
 
 } // namespace sysmpi

@@ -33,42 +33,42 @@ bool match_at(const Envelope &e, int src, int tag, std::uint64_t comm_id) {
 
 } // namespace
 
-Mailbox::Waiter *Mailbox::unlink_waiter(int src_comm_rank, int tag,
-                                        std::uint64_t comm_id) {
-  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-    Waiter *w = *it;
-    if (match_at(src_comm_rank, tag, comm_id, w->src, w->tag, w->comm_id)) {
-      waiters_.erase(it);
-      return w;
+Mailbox::Receive *Mailbox::unlink_receive(int src_comm_rank, int tag,
+                                           std::uint64_t comm_id) {
+  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+    Receive *r = *it;
+    if (match_at(src_comm_rank, tag, comm_id, r->src, r->tag, r->comm_id)) {
+      posted_.erase(it);
+      return r;
     }
   }
   return nullptr;
 }
 
-void Mailbox::wake(Waiter &w, Envelope &&e) {
-  w.env = std::move(e);
-  w.done = true;
-  // Notify under the lock: the waiter lives on its receiver's stack and
-  // may return (destroying cv) as soon as it can observe `done`.
-  w.cv.notify_one();
+void Mailbox::wake(Receive &r, Envelope &&e) {
+  r.env = std::move(e);
+  r.done = true;
+  // Notify under the lock: the owner may destroy the receive (and its cv)
+  // as soon as it can observe `done`.
+  r.cv.notify_one();
 }
 
-Mailbox::Waiter *Mailbox::claim(int src_comm_rank, int tag,
-                                std::uint64_t comm_id) {
+Mailbox::Receive *Mailbox::claim(int src_comm_rank, int tag,
+                                 std::uint64_t comm_id) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return unlink_waiter(src_comm_rank, tag, comm_id);
+  return unlink_receive(src_comm_rank, tag, comm_id);
 }
 
-void Mailbox::complete(Waiter &w, Envelope &&e) {
+void Mailbox::complete(Receive &r, Envelope &&e) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  wake(w, std::move(e));
+  wake(r, std::move(e));
 }
 
 void Mailbox::deliver(Envelope &&e) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (Waiter *w = unlink_waiter(e.src_comm_rank, e.tag, e.comm_id)) {
-      wake(*w, std::move(e));
+    if (Receive *r = unlink_receive(e.src_comm_rank, e.tag, e.comm_id)) {
+      wake(*r, std::move(e));
       return;
     }
     queue_.push_back(std::move(e));
@@ -88,22 +88,32 @@ bool Mailbox::pop_match(int src, int tag, std::uint64_t comm_id,
   return false;
 }
 
-Envelope Mailbox::take(int src, int tag, std::uint64_t comm_id, void *dst,
-                       std::size_t capacity) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  Waiter w{src, tag, comm_id, dst, capacity, {}, false, {}};
-  if (pop_match(src, tag, comm_id, w.env)) {
-    return std::move(w.env);
+void Mailbox::post(Receive &r) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  r.done = pop_match(r.src, r.tag, r.comm_id, r.env);
+  if (!r.done) {
+    posted_.push_back(&r);
   }
-  waiters_.push_back(&w);
-  w.cv.wait(lock, [&w] { return w.done; });
-  return std::move(w.env);
 }
 
-bool Mailbox::try_take(int src, int tag, std::uint64_t comm_id,
-                       Envelope &out) {
+void Mailbox::wait(Receive &r) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  r.cv.wait(lock, [&r] { return r.done; });
+}
+
+bool Mailbox::test(Receive &r) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return pop_match(src, tag, comm_id, out);
+  return r.done;
+}
+
+void Mailbox::withdraw(Receive &r) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto it = std::find(posted_.begin(), posted_.end(), &r);
+  if (it != posted_.end()) {
+    posted_.erase(it);
+    return;
+  }
+  r.cv.wait(lock, [&r] { return r.done; });
 }
 
 Mailbox::PeekInfo Mailbox::peek(int src, int tag, std::uint64_t comm_id) {
@@ -130,9 +140,9 @@ bool Mailbox::try_peek(int src, int tag, std::uint64_t comm_id,
   return false;
 }
 
-std::size_t Mailbox::blocked_receivers() {
+std::size_t Mailbox::posted_receives() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return waiters_.size();
+  return posted_.size();
 }
 
 World::World(int size, int ranks_per_node)

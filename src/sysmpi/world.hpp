@@ -24,7 +24,7 @@
 namespace sysmpi {
 
 /// One in-flight message. `payload` is host-side staging, absent when the
-/// sender wrote straight into a blocked receiver's buffer; CUDA-awareness
+/// sender wrote straight into a posted receive's buffer; CUDA-awareness
 /// is captured by `src_gpu` + pricing, not by where the bytes travelled.
 struct Envelope {
   int src_comm_rank = -1;
@@ -48,51 +48,62 @@ struct Envelope {
 };
 
 /// Per-rank receive side with (source, tag, comm) matching: a queue of
-/// unexpected messages and a list of receivers blocked in take().
+/// unexpected messages and a list of posted receives.
 ///
-/// A blocked receiver is handed its message directly, so a sender that
-/// finds one copies the payload once, into the receiver's buffer; only a
-/// message nobody waits for is staged (two copies). No-overtaking holds
-/// because a receiver registers only after scanning the queue under the
-/// lock, and deliver() hands every match to a registered receiver: the
-/// queue never holds an envelope a registered receiver matches.
+/// A receive is registered when it is posted (MPI_Recv, MPI_Irecv,
+/// MPI_Start), not when it is waited for, so receives match messages in
+/// the order they were posted (MPI-3.1 Sec. 3.5). A sender that finds a
+/// posted receive hands its message straight to it, copying the payload
+/// once, into the receive buffer when that holds it; only a message no
+/// receive is posted for is staged (two copies). No-overtaking holds
+/// because a receive registers only after scanning the queue under the
+/// lock, and deliver() hands every match to a registered receive: the
+/// queue never holds an envelope a registered receive matches.
 class Mailbox {
 public:
-  /// A receive blocked in take(). `dst`/`capacity` describe a contiguous
-  /// receive buffer a sender may write directly (null for other types).
-  struct Waiter {
-    int src;
-    int tag;
-    std::uint64_t comm_id;
-    void *dst;
-    std::size_t capacity;
+  /// A posted receive. `dst`/`capacity` describe a contiguous receive
+  /// buffer a sender may write directly (null for other types). The owner
+  /// keeps it alive until wait() or test() reports it done or withdraw()
+  /// returns.
+  struct Receive {
+    int src = 0;
+    int tag = 0;
+    std::uint64_t comm_id = 0;
+    void *dst = nullptr;
+    std::size_t capacity = 0;
     Envelope env;
     bool done = false;
     std::condition_variable cv;
   };
 
-  /// Hand `e` to the earliest registered receiver it matches, else queue
+  /// Post `r` (its key and buffer set, not done): it takes the earliest
+  /// queued envelope it matches, else it is registered behind the
+  /// receives posted before it.
+  void post(Receive &r);
+
+  /// Block until `r` holds its envelope. An envelope whose bytes were
+  /// written into `r.dst` has a null payload.
+  void wait(Receive &r);
+
+  /// Whether `r` holds its envelope yet (never blocks).
+  bool test(Receive &r);
+
+  /// Withdraw a posted receive. One already matched keeps its envelope
+  /// (`r.done`); a sender that has claimed it but not completed it is
+  /// waited out, since it is writing into the receive buffer.
+  void withdraw(Receive &r);
+
+  /// Hand `e` to the earliest registered receive it matches, else queue
   /// it as unexpected.
   void deliver(Envelope &&e);
 
-  /// Remove and return the earliest registered receiver matching a
+  /// Remove and return the earliest registered receive matching a
   /// message with this key, or null. The caller must complete() it: the
-  /// receiver stays blocked, and no later message can reach it, until then.
-  Waiter *claim(int src_comm_rank, int tag, std::uint64_t comm_id);
+  /// receive stays pending, and no later message can reach it, until then.
+  Receive *claim(int src_comm_rank, int tag, std::uint64_t comm_id);
 
-  /// Wake a claimed receiver with its envelope.
-  void complete(Waiter &w, Envelope &&e);
-
-  /// Block until a matching envelope is available and remove it.
-  /// src may be MPI_ANY_SOURCE; tag may be MPI_ANY_TAG. `dst`/`capacity`
-  /// name a contiguous receive buffer a sender may fill in place (null
-  /// otherwise); an envelope whose bytes were written there has a null
-  /// payload.
-  Envelope take(int src, int tag, std::uint64_t comm_id, void *dst,
-                std::size_t capacity);
-
-  /// Non-blocking variant; returns false if nothing matches.
-  bool try_take(int src, int tag, std::uint64_t comm_id, Envelope &out);
+  /// Hand a claimed receive its envelope.
+  void complete(Receive &r, Envelope &&e);
 
   /// Metadata of a matched message, for MPI_Probe/MPI_Iprobe.
   struct PeekInfo {
@@ -107,21 +118,22 @@ public:
   /// Non-blocking peek; returns false if nothing matches.
   bool try_peek(int src, int tag, std::uint64_t comm_id, PeekInfo &out);
 
-  /// Receivers currently blocked in take() (lets tests order a send
-  /// after a receive has blocked).
-  std::size_t blocked_receivers();
+  /// Receives posted and not yet matched (lets tests order a send after
+  /// a receive is posted).
+  std::size_t posted_receives();
 
 private:
   // The helpers below expect mutex_ held.
   /// Remove the earliest queued envelope matching the receive into `out`.
   bool pop_match(int src, int tag, std::uint64_t comm_id, Envelope &out);
-  /// Remove and return the earliest waiter matching a message key, or null.
-  Waiter *unlink_waiter(int src_comm_rank, int tag, std::uint64_t comm_id);
-  static void wake(Waiter &w, Envelope &&e);
+  /// Remove and return the earliest receive matching a message key, or
+  /// null.
+  Receive *unlink_receive(int src_comm_rank, int tag, std::uint64_t comm_id);
+  static void wake(Receive &r, Envelope &&e);
   std::mutex mutex_;
   std::condition_variable cv_; ///< queue growth, for blocked peeks
   std::deque<Envelope> queue_;
-  std::vector<Waiter *> waiters_; ///< blocked receivers, registration order
+  std::vector<Receive *> posted_; ///< unmatched receives, posting order
 };
 
 /// Shared state for one collective-synchronization point (per comm).

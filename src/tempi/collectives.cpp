@@ -77,9 +77,10 @@ SideMode side_mode(const void *buf, MPI_Datatype dt) {
 
 /// The exchange core every engine collective reduces onto. Sends are
 /// posted eagerly (packed legs through the request engine, typed legs
-/// through the system Isend — all buffered), receives are matched lazily
-/// by one Waitall in slot order (preserving per-(peer, tag) FIFO pairing
-/// for repeated neighbors), then the fused unpack pass scatters the recv
+/// through the system Isend — all buffered), receives are posted in
+/// scheduled order and completed by one Waitall (same-peer slots keep
+/// their order, preserving per-(peer, tag) FIFO pairing for repeated
+/// neighbors), then the fused unpack pass scatters the recv
 /// staging into the user buffer.
 int exchange(const void *sendbuf, MPI_Datatype sendtype,
              const std::vector<Slot> &sends, void *recvbuf,
@@ -276,7 +277,7 @@ int exchange(const void *sendbuf, MPI_Datatype sendtype,
     return bail(rc);
   }
 
-  // Post every receive leg (matched lazily at the Waitall below), in the
+  // Post every receive leg (completed at the Waitall below), in the
   // scheduled order: same-peer slots still pair FIFO like the system
   // path, and draining sources node-round-robin tracks the staggered
   // arrival order the senders produce.

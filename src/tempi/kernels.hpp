@@ -15,8 +15,11 @@
 //
 // The kernel bodies execute on the host, so their copy loop is specialized
 // once too: make_pack_plan freezes a row copy per direction in the
-// PackPlan (a compile-time block size for power-of-two blocks up to 256 B,
-// libc memcpy for every other block). Every body — whole-object, ranged,
+// PackPlan. 1-, 2- and 4-byte blocks move 8 / B rows per 8-byte packed
+// word (gathered into a register on pack, scattered from one on unpack,
+// with block-sized accesses on the strided side); other power-of-two
+// blocks up to 256 B copy with a compile-time size; every other block
+// uses libc memcpy. Every body — whole-object, ranged,
 // span and reduce-span — walks its blocks with one walker that decomposes
 // the first block once and hands the row copy runs of consecutive
 // dimension-1 rows.

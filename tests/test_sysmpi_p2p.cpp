@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -108,6 +109,160 @@ TEST(P2P, TruncationIsAnError) {
                          MPI_STATUS_IGNORE),
                 MPI_ERR_TRUNCATE);
     }
+  });
+}
+
+/// How a truncating receive is posted and polled to completion.
+enum class TruncPoll { Test, Testany, Testsome, Testall, PersistentTest };
+
+class TruncationUnderTest : public ::testing::TestWithParam<TruncPoll> {};
+
+TEST_P(TruncationUnderTest, ReportsTruncateAndLeavesBufferUntouched) {
+  // A 4-int message meets a 2-int receive: the completing poll must
+  // return MPI_ERR_TRUNCATE (as MPI_Recv does), not a silent success.
+  const TruncPoll poll = GetParam();
+  run2([poll](int rank) {
+    if (rank == 0) {
+      const int v[4] = {1, 2, 3, 4};
+      MPI_Send(v, 4, MPI_INT, 1, 6, MPI_COMM_WORLD);
+      return;
+    }
+    int x[2] = {-1, -1};
+    MPI_Request req = MPI_REQUEST_NULL;
+    if (poll == TruncPoll::PersistentTest) {
+      ASSERT_EQ(MPI_Recv_init(x, 2, MPI_INT, 0, 6, MPI_COMM_WORLD, &req),
+                MPI_SUCCESS);
+      ASSERT_EQ(MPI_Start(&req), MPI_SUCCESS);
+    } else {
+      ASSERT_EQ(MPI_Irecv(x, 2, MPI_INT, 0, 6, MPI_COMM_WORLD, &req),
+                MPI_SUCCESS);
+    }
+    MPI_Status status{};
+    int flag = 0;
+    int rc = MPI_SUCCESS;
+    while (flag == 0 && rc == MPI_SUCCESS) {
+      int index = -1, outcount = 0;
+      switch (poll) {
+      case TruncPoll::Test:
+      case TruncPoll::PersistentTest:
+        rc = MPI_Test(&req, &flag, &status);
+        break;
+      case TruncPoll::Testany:
+        rc = MPI_Testany(1, &req, &index, &flag, &status);
+        break;
+      case TruncPoll::Testsome:
+        rc = MPI_Testsome(1, &req, &outcount, &index, &status);
+        flag = outcount > 0 ? 1 : 0;
+        break;
+      case TruncPoll::Testall:
+        rc = MPI_Testall(1, &req, &flag, &status);
+        break;
+      }
+    }
+    EXPECT_EQ(rc, MPI_ERR_TRUNCATE);
+    EXPECT_EQ(status.MPI_ERROR, MPI_ERR_TRUNCATE);
+    EXPECT_EQ(status.MPI_SOURCE, 0);
+    EXPECT_EQ(x[0], -1);
+    EXPECT_EQ(x[1], -1);
+    if (poll == TruncPoll::PersistentTest) {
+      EXPECT_NE(req, MPI_REQUEST_NULL); // disarmed, not freed
+      ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
+    }
+    EXPECT_EQ(req, MPI_REQUEST_NULL);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Polls, TruncationUnderTest,
+                         ::testing::Values(TruncPoll::Test, TruncPoll::Testany,
+                                           TruncPoll::Testsome,
+                                           TruncPoll::Testall,
+                                           TruncPoll::PersistentTest));
+
+class PostingOrder : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PostingOrder, NonblockingReceiveMatchesBeforeLaterBlockingOne) {
+  // MPI-3.1 Sec. 3.5: receives match in the order they were posted, so
+  // the Irecv (or started persistent receive) posted first takes the
+  // first message even though a blocking Recv completes before it is
+  // waited for. The messages are sent before the receives are posted, or
+  // only once both receives are posted.
+  const bool sent_first = GetParam();
+  for (const bool persistent : {false, true}) {
+    SCOPED_TRACE(persistent ? "Recv_init+Start" : "Irecv");
+    run2([sent_first, persistent](int rank) {
+      if (rank == 0) {
+        if (!sent_first) {
+          sysmpi::Mailbox &box = sysmpi::this_rank().world->mailbox(1);
+          while (box.posted_receives() < 2) {
+            std::this_thread::yield();
+          }
+        }
+        const int one = 1, two = 2;
+        MPI_Send(&one, 1, MPI_INT, 1, 7, MPI_COMM_WORLD);
+        MPI_Send(&two, 1, MPI_INT, 1, 7, MPI_COMM_WORLD);
+        if (sent_first) {
+          MPI_Barrier(MPI_COMM_WORLD);
+        }
+        return;
+      }
+      if (sent_first) {
+        MPI_Barrier(MPI_COMM_WORLD);
+      }
+      int first = 0, second = 0;
+      MPI_Request req = MPI_REQUEST_NULL;
+      if (persistent) {
+        ASSERT_EQ(MPI_Recv_init(&first, 1, MPI_INT, 0, 7, MPI_COMM_WORLD,
+                                &req),
+                  MPI_SUCCESS);
+        ASSERT_EQ(MPI_Start(&req), MPI_SUCCESS);
+      } else {
+        ASSERT_EQ(MPI_Irecv(&first, 1, MPI_INT, 0, 7, MPI_COMM_WORLD, &req),
+                  MPI_SUCCESS);
+      }
+      ASSERT_EQ(MPI_Recv(&second, 1, MPI_INT, 0, 7, MPI_COMM_WORLD,
+                         MPI_STATUS_IGNORE),
+                MPI_SUCCESS);
+      ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      EXPECT_EQ(first, 1);
+      EXPECT_EQ(second, 2);
+      if (persistent) {
+        ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
+      }
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SentFirstOrLast, PostingOrder, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                           return info.param ? std::string("SentFirst")
+                                             : std::string("PostedFirst");
+                         });
+
+TEST(P2P, FreeingAPostedReceiveWithdrawsIt) {
+  // A freed receive request must not take a later message: the next
+  // receive with the same key gets it.
+  run2([](int rank) {
+    if (rank == 0) {
+      int go = 0;
+      MPI_Recv(&go, 1, MPI_INT, 1, 9, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+      const int v = 5;
+      MPI_Send(&v, 1, MPI_INT, 1, 8, MPI_COMM_WORLD);
+      return;
+    }
+    int lost = -1;
+    MPI_Request req = MPI_REQUEST_NULL;
+    ASSERT_EQ(MPI_Irecv(&lost, 1, MPI_INT, 0, 8, MPI_COMM_WORLD, &req),
+              MPI_SUCCESS);
+    ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
+    EXPECT_EQ(sysmpi::this_rank().world->mailbox(1).posted_receives(), 0u);
+    const int go = 1;
+    MPI_Send(&go, 1, MPI_INT, 0, 9, MPI_COMM_WORLD);
+    int got = -1;
+    ASSERT_EQ(MPI_Recv(&got, 1, MPI_INT, 0, 8, MPI_COMM_WORLD,
+                       MPI_STATUS_IGNORE),
+              MPI_SUCCESS);
+    EXPECT_EQ(got, 5);
+    EXPECT_EQ(lost, -1);
   });
 }
 

@@ -27,11 +27,12 @@ void run2(const std::function<void(int)> &body, int rpn = 1) {
   sysmpi::run_ranks(cfg, body);
 }
 
-/// Spin until `n` receives are blocked on world rank `rank`'s mailbox, so
-/// the next matching send finds its receiver waiting.
+/// Spin until `n` receives are posted on world rank `rank`'s mailbox (a
+/// blocked MPI_Recv is one), so the next matching send finds its receiver
+/// waiting.
 void await_blocked(int rank, std::size_t n = 1) {
   sysmpi::Mailbox &box = sysmpi::this_rank().world->mailbox(rank);
-  while (box.blocked_receivers() < n) {
+  while (box.posted_receives() < n) {
     std::this_thread::yield();
   }
 }
@@ -389,7 +390,7 @@ TEST_P(NoOvertaking, QueuedMatchIsTakenBeforeBlocking) {
       const int a = 1, b = 2;
       MPI_Send(&a, 1, MPI_INT, 1, 1, MPI_COMM_WORLD);
       sysmpi::Mailbox &box = sysmpi::this_rank().world->mailbox(1);
-      while (!first_done.load() && box.blocked_receivers() == 0) {
+      while (!first_done.load() && box.posted_receives() == 0) {
         std::this_thread::yield();
       }
       MPI_Send(&b, 1, MPI_INT, 1, 1, MPI_COMM_WORLD);
@@ -435,7 +436,7 @@ TEST(Transport, TwoBlockedThreadsOfOneRankEachGetOneMessage) {
     std::sort(std::begin(got), std::end(got));
     EXPECT_EQ(got[0], 10);
     EXPECT_EQ(got[1], 20);
-    EXPECT_EQ(sysmpi::this_rank().world->mailbox(1).blocked_receivers(), 0u);
+    EXPECT_EQ(sysmpi::this_rank().world->mailbox(1).posted_receives(), 0u);
   });
 }
 

@@ -253,6 +253,182 @@ std::string describe(const DiffCase &c) {
          " count=" + std::to_string(c.count);
 }
 
+/// Checks every pack/unpack launch form of case `c` (whole object,
+/// recompute-per-call, ranges, span table) byte for byte against the
+/// per-byte reference, plus the span reduce when both sides are
+/// word-aligned. `seed` fills the buffers; `gen` draws the random ranges
+/// and span tables. Returns whether the reduce was checked.
+bool check_kernel_bodies(const DiffCase &c, bool via_graph,
+                         std::uint32_t seed, std::mt19937 &gen) {
+  const StridedBlock &sb = c.sb;
+  SCOPED_TRACE(describe(c));
+  const tempi::PackPlan plan = tempi::make_pack_plan(sb, c.extent);
+  const long long per = blocks_per_object(sb);
+  const long long total = per * c.count;
+  const long long block = sb.block_bytes();
+  // Spans lay several object groups side by side: room for 3 groups.
+  const long long group = c.extent * c.count;
+  const auto obj_bytes = static_cast<std::size_t>(group * 3 + 64);
+  const auto packed_bytes = static_cast<std::size_t>(total * block * 3 + 64);
+  SpaceBuffer obj(vcuda::MemorySpace::Device, obj_bytes);
+  SpaceBuffer packed(vcuda::MemorySpace::Device, packed_bytes);
+  fill_pattern(obj.get(), obj_bytes, seed);
+  std::vector<std::byte> obj_bg(obj.bytes(), obj.bytes() + obj_bytes);
+  std::vector<std::byte> packed_bg(packed_bytes);
+  fill_pattern(packed_bg.data(), packed_bytes, seed + 7919);
+  const auto reset = [&] {
+    std::memcpy(obj.get(), obj_bg.data(), obj_bytes);
+    std::memcpy(packed.get(), packed_bg.data(), packed_bytes);
+  };
+  using Launch = std::function<vcuda::Error(vcuda::StreamHandle)>;
+  // Blocks [g0, g0 + n * (g1 - g0)) of each span of n objects, byte by
+  // byte: fn(object byte, packed byte).
+  const auto for_each_span_byte =
+      [&](const std::vector<tempi::PackSpan> &spans, long long g0,
+          long long g1,
+          const std::function<void(std::size_t, std::size_t)> &fn) {
+        for (const tempi::PackSpan &s : spans) {
+          ref_for_each_byte(sb, c.extent, g0, g0 + (g1 - g0) * s.count,
+                            [&](long long o, long long p) {
+                              fn(static_cast<std::size_t>(s.obj_offset + o),
+                                 static_cast<std::size_t>(s.packed_offset +
+                                                          p));
+                            });
+        }
+      };
+  // A pack must equal the naive gather; every other packed byte keeps
+  // its background.
+  const auto expect_pack = [&](const Launch &launch,
+                               const std::vector<tempi::PackSpan> &spans,
+                               long long g0, long long g1, const char *what) {
+    reset();
+    ASSERT_EQ(run_launch(via_graph, launch, reset), vcuda::Error::Success)
+        << what;
+    std::vector<std::byte> want = packed_bg;
+    for_each_span_byte(spans, g0, g1, [&](std::size_t o, std::size_t p) {
+      want[p] = obj_bg[o];
+    });
+    EXPECT_EQ(std::memcmp(packed.get(), want.data(), packed_bytes), 0)
+        << what;
+  };
+  // An unpack (or a combine) must touch exactly the visited object
+  // bytes; gap bytes keep the object background.
+  const auto expect_unpack =
+      [&](const Launch &launch, const std::vector<tempi::PackSpan> &spans,
+          long long g0, long long g1, bool combine, const char *what) {
+        reset();
+        ASSERT_EQ(run_launch(via_graph, launch, reset), vcuda::Error::Success)
+            << what;
+        std::vector<std::byte> want = obj_bg;
+        for_each_span_byte(spans, g0, g1, [&](std::size_t o, std::size_t p) {
+          want[o] = combine ? (want[o] | packed_bg[p]) : packed_bg[p];
+        });
+        EXPECT_EQ(std::memcmp(obj.get(), want.data(), obj_bytes), 0) << what;
+      };
+  const std::vector<tempi::PackSpan> whole = {{0, 0, 1}};
+  void *const o = obj.get();
+  void *const pk = packed.get();
+
+  // Whole-object launches, plan-driven and recompute-per-call.
+  expect_pack(
+      [&](vcuda::StreamHandle st) {
+        return tempi::launch_pack(plan, sb, c.extent, pk, o, c.count, st);
+      },
+      whole, 0, total, "launch_pack");
+  expect_pack(
+      [&](vcuda::StreamHandle st) {
+        return tempi::launch_pack(sb, c.extent, pk, o, c.count, st);
+      },
+      whole, 0, total, "launch_pack (recompute)");
+  expect_unpack(
+      [&](vcuda::StreamHandle st) {
+        return tempi::launch_unpack(plan, sb, c.extent, o, pk, c.count, st);
+      },
+      whole, 0, total, false, "launch_unpack");
+  expect_unpack(
+      [&](vcuda::StreamHandle st) {
+        return tempi::launch_unpack(sb, c.extent, o, pk, c.count, st);
+      },
+      whole, 0, total, false, "launch_unpack (recompute)");
+
+  // Ranged launches starting mid-row, mid-plane and mid-object, and a few
+  // blocks into a run, where a sub-word row copy starts mid-word.
+  const long long rows = sb.ndims() >= 2 ? sb.counts[1] : 1;
+  std::uniform_int_distribution<long long> gdist(0, total - 1);
+  const long long ga = gdist(gen);
+  const long long gb = gdist(gen);
+  const std::pair<long long, long long> ranges[] = {
+      {0, total},
+      {1, total},
+      {total / 2, total},
+      {total - 1, total},
+      {std::min(rows + 1, total - 1), total},
+      {std::min(per / 2 + 1, total - 1), std::min(per + per / 2 + 1, total)},
+      {std::min(3LL, total - 1), total - 2},
+      {std::min(rows + 5, total - 1), total - 1},
+      {std::min(ga, gb), std::max(ga, gb) + 1}};
+  for (const auto &[g0, g1] : ranges) {
+    if (g1 <= g0) {
+      continue;
+    }
+    SCOPED_TRACE("range [" + std::to_string(g0) + "," + std::to_string(g1) +
+                 ")");
+    expect_pack(
+        [&](vcuda::StreamHandle st) {
+          return tempi::launch_pack_range(plan, sb, c.extent, pk, o, g0,
+                                          g1 - g0, st);
+        },
+        whole, g0, g1, "launch_pack_range");
+    expect_unpack(
+        [&](vcuda::StreamHandle st) {
+          return tempi::launch_unpack_range(plan, sb, c.extent, o, pk, g0,
+                                            g1 - g0, st);
+        },
+        whole, g0, g1, false, "launch_unpack_range");
+  }
+
+  // A span table with possibly zero-count spans and packed gaps, its
+  // object groups laid out in reverse order.
+  std::vector<tempi::PackSpan> spans;
+  long long next_packed = 3;
+  for (int j = 0; j < 3; ++j) {
+    const int n = static_cast<int>(gen() % (c.count + 1));
+    spans.push_back({group * (2 - j), next_packed, n});
+    next_packed += n * per * block + static_cast<long long>(gen() % 5);
+  }
+  expect_pack(
+      [&](vcuda::StreamHandle st) {
+        return tempi::launch_pack_spans(plan, sb, c.extent, pk, o, spans, st);
+      },
+      spans, 0, per, "launch_pack_spans");
+  expect_unpack(
+      [&](vcuda::StreamHandle st) {
+        return tempi::launch_unpack_spans(plan, sb, c.extent, o, pk, spans,
+                                          st);
+      },
+      spans, 0, per, false, "launch_unpack_spans");
+  // Bitwise OR on 32-bit words is a per-byte OR. The combine reads
+  // words in place, so both sides must be word-aligned: pack the span
+  // table densely from offset 0.
+  if (tempi::select_word_size(sb) < 4 || c.extent % 4 != 0) {
+    return false;
+  }
+  std::vector<tempi::PackSpan> dense = spans;
+  long long at = 0;
+  for (tempi::PackSpan &s : dense) {
+    s.packed_offset = at;
+    at += s.count * per * block;
+  }
+  expect_unpack(
+      [&](vcuda::StreamHandle st) {
+        return tempi::launch_reduce_spans(tempi::ReduceOp::Bor,
+                                          tempi::ReduceWord::I32, plan, sb,
+                                          c.extent, o, pk, dense, st);
+      },
+      dense, 0, per, true, "launch_reduce_spans");
+  return true;
+}
+
 class KernelBodies : public ::testing::TestWithParam<bool> {};
 
 TEST_P(KernelBodies, MatchNaivePerByteReference) {
@@ -261,179 +437,52 @@ TEST_P(KernelBodies, MatchNaivePerByteReference) {
   int reduced = 0;
   for (int trial = 0; trial < 160; ++trial) {
     const DiffCase c = random_diff_case(gen);
-    const StridedBlock &sb = c.sb;
-    SCOPED_TRACE(describe(c));
-    const tempi::PackPlan plan = tempi::make_pack_plan(sb, c.extent);
-    const long long per = blocks_per_object(sb);
-    const long long total = per * c.count;
-    const long long block = sb.block_bytes();
-    // Spans lay several object groups side by side: room for 3 groups.
-    const long long group = c.extent * c.count;
-    const auto obj_bytes = static_cast<std::size_t>(group * 3 + 64);
-    const auto packed_bytes = static_cast<std::size_t>(total * block * 3 + 64);
-    SpaceBuffer obj(vcuda::MemorySpace::Device, obj_bytes);
-    SpaceBuffer packed(vcuda::MemorySpace::Device, packed_bytes);
-    fill_pattern(obj.get(), obj_bytes, static_cast<std::uint32_t>(trial));
-    std::vector<std::byte> obj_bg(obj.bytes(), obj.bytes() + obj_bytes);
-    std::vector<std::byte> packed_bg(packed_bytes);
-    fill_pattern(packed_bg.data(), packed_bytes,
-                 static_cast<std::uint32_t>(trial + 7919));
-    const auto reset = [&] {
-      std::memcpy(obj.get(), obj_bg.data(), obj_bytes);
-      std::memcpy(packed.get(), packed_bg.data(), packed_bytes);
-    };
-    using Launch = std::function<vcuda::Error(vcuda::StreamHandle)>;
-    // Blocks [g0, g0 + n * (g1 - g0)) of each span of n objects, byte by
-    // byte: fn(object byte, packed byte).
-    const auto for_each_span_byte =
-        [&](const std::vector<tempi::PackSpan> &spans, long long g0,
-            long long g1, const std::function<void(std::size_t, std::size_t)>
-                              &fn) {
-          for (const tempi::PackSpan &s : spans) {
-            ref_for_each_byte(
-                sb, c.extent, g0, g0 + (g1 - g0) * s.count,
-                [&](long long o, long long p) {
-                  fn(static_cast<std::size_t>(s.obj_offset + o),
-                     static_cast<std::size_t>(s.packed_offset + p));
-                });
-          }
-        };
-    // A pack must equal the naive gather; every other packed byte keeps
-    // its background.
-    const auto expect_pack = [&](const Launch &launch,
-                                 const std::vector<tempi::PackSpan> &spans,
-                                 long long g0, long long g1,
-                                 const char *what) {
-      reset();
-      ASSERT_EQ(run_launch(via_graph, launch, reset), vcuda::Error::Success)
-          << what;
-      std::vector<std::byte> want = packed_bg;
-      for_each_span_byte(spans, g0, g1, [&](std::size_t o, std::size_t p) {
-        want[p] = obj_bg[o];
-      });
-      EXPECT_EQ(std::memcmp(packed.get(), want.data(), packed_bytes), 0)
-          << what;
-    };
-    // An unpack (or a combine) must touch exactly the visited object
-    // bytes; gap bytes keep the object background.
-    const auto expect_unpack =
-        [&](const Launch &launch, const std::vector<tempi::PackSpan> &spans,
-            long long g0, long long g1, bool combine, const char *what) {
-          reset();
-          ASSERT_EQ(run_launch(via_graph, launch, reset),
-                    vcuda::Error::Success)
-              << what;
-          std::vector<std::byte> want = obj_bg;
-          for_each_span_byte(spans, g0, g1, [&](std::size_t o, std::size_t p) {
-            want[o] = combine ? (want[o] | packed_bg[p]) : packed_bg[p];
-          });
-          EXPECT_EQ(std::memcmp(obj.get(), want.data(), obj_bytes), 0)
-              << what;
-        };
-    const std::vector<tempi::PackSpan> whole = {{0, 0, 1}};
-    void *const o = obj.get();
-    void *const pk = packed.get();
-
-    // Whole-object launches, plan-driven and recompute-per-call.
-    expect_pack(
-        [&](vcuda::StreamHandle st) {
-          return tempi::launch_pack(plan, sb, c.extent, pk, o, c.count, st);
-        },
-        whole, 0, total, "launch_pack");
-    expect_pack(
-        [&](vcuda::StreamHandle st) {
-          return tempi::launch_pack(sb, c.extent, pk, o, c.count, st);
-        },
-        whole, 0, total, "launch_pack (recompute)");
-    expect_unpack(
-        [&](vcuda::StreamHandle st) {
-          return tempi::launch_unpack(plan, sb, c.extent, o, pk, c.count, st);
-        },
-        whole, 0, total, false, "launch_unpack");
-    expect_unpack(
-        [&](vcuda::StreamHandle st) {
-          return tempi::launch_unpack(sb, c.extent, o, pk, c.count, st);
-        },
-        whole, 0, total, false, "launch_unpack (recompute)");
-
-    // Ranged launches starting mid-row, mid-plane and mid-object.
-    const long long rows = sb.ndims() >= 2 ? sb.counts[1] : 1;
-    std::uniform_int_distribution<long long> gdist(0, total - 1);
-    const long long ga = gdist(gen);
-    const long long gb = gdist(gen);
-    const std::pair<long long, long long> ranges[] = {
-        {0, total},
-        {1, total},
-        {total / 2, total},
-        {total - 1, total},
-        {std::min(rows + 1, total - 1), total},
-        {std::min(per / 2 + 1, total - 1), std::min(per + per / 2 + 1, total)},
-        {std::min(ga, gb), std::max(ga, gb) + 1}};
-    for (const auto &[g0, g1] : ranges) {
-      if (g1 <= g0) {
-        continue;
-      }
-      SCOPED_TRACE("range [" + std::to_string(g0) + "," + std::to_string(g1) +
-                   ")");
-      expect_pack(
-          [&](vcuda::StreamHandle st) {
-            return tempi::launch_pack_range(plan, sb, c.extent, pk, o, g0,
-                                            g1 - g0, st);
-          },
-          whole, g0, g1, "launch_pack_range");
-      expect_unpack(
-          [&](vcuda::StreamHandle st) {
-            return tempi::launch_unpack_range(plan, sb, c.extent, o, pk, g0,
-                                              g1 - g0, st);
-          },
-          whole, g0, g1, false, "launch_unpack_range");
-    }
-
-    // A span table with possibly zero-count spans and packed gaps, its
-    // object groups laid out in reverse order.
-    std::vector<tempi::PackSpan> spans;
-    long long next_packed = 3;
-    for (int j = 0; j < 3; ++j) {
-      const int n = static_cast<int>(gen() % (c.count + 1));
-      spans.push_back({group * (2 - j), next_packed, n});
-      next_packed += n * per * block + static_cast<long long>(gen() % 5);
-    }
-    expect_pack(
-        [&](vcuda::StreamHandle st) {
-          return tempi::launch_pack_spans(plan, sb, c.extent, pk, o, spans,
-                                          st);
-        },
-        spans, 0, per, "launch_pack_spans");
-    expect_unpack(
-        [&](vcuda::StreamHandle st) {
-          return tempi::launch_unpack_spans(plan, sb, c.extent, o, pk, spans,
-                                            st);
-        },
-        spans, 0, per, false, "launch_unpack_spans");
-    // Bitwise OR on 32-bit words is a per-byte OR. The combine reads
-    // words in place, so both sides must be word-aligned: pack the span
-    // table densely from offset 0.
-    if (tempi::select_word_size(sb) >= 4 && c.extent % 4 == 0) {
-      std::vector<tempi::PackSpan> dense = spans;
-      long long at = 0;
-      for (tempi::PackSpan &s : dense) {
-        s.packed_offset = at;
-        at += s.count * per * block;
-      }
-      expect_unpack(
-          [&](vcuda::StreamHandle st) {
-            return tempi::launch_reduce_spans(
-                tempi::ReduceOp::Bor, tempi::ReduceWord::I32, plan, sb,
-                c.extent, o, pk, dense, st);
-          },
-          dense, 0, per, true, "launch_reduce_spans");
-      ++reduced;
-    }
+    reduced += check_kernel_bodies(c, via_graph,
+                                   static_cast<std::uint32_t>(trial), gen);
     if (::testing::Test::HasFailure()) {
       return; // one failing case is enough to diagnose
     }
   }
   EXPECT_GE(reduced, 10) << "too few word-aligned cases for the combine";
+}
+
+/// Long dimension-1 runs of 1-, 2- and 4-byte blocks: the sub-word row
+/// copies move 8 / B rows per packed word and the rest one by one, so the
+/// row counts here are never a multiple of 8 / B and exceed several
+/// words. Starts and strides are block-aligned or odd; a second and third
+/// dimension splits the walk into several runs.
+TEST_P(KernelBodies, LongSubwordRunsMatchReference) {
+  const bool via_graph = GetParam();
+  std::mt19937 gen(8675309);
+  std::uint32_t seed = 0;
+  for (const long long block : {1LL, 2LL, 4LL}) {
+    const long long word_rows = 8 / block;
+    for (const long long rows :
+         {word_rows + 1, 3 * word_rows - 1, 37LL, 69LL}) {
+      for (const bool odd : {false, true}) {
+        for (const long long outer : {1LL, 3LL}) {
+          DiffCase c;
+          StridedBlock &sb = c.sb;
+          sb.start = odd ? 1 + block : 2 * block;
+          sb.counts = {block, rows};
+          sb.strides = {1, odd ? 2 * block + 1 : 3 * block};
+          long long span = sb.strides[1] * rows;
+          if (outer > 1) {
+            sb.counts.push_back(outer);
+            sb.strides.push_back(span + (odd ? 3 : block));
+            span = sb.strides[2] * outer;
+          }
+          c.extent = span + (odd ? 5 : 0);
+          c.count = outer > 1 ? 2 : 3;
+          ASSERT_NE(rows % word_rows, 0);
+          check_kernel_bodies(c, via_graph, ++seed, gen);
+          if (::testing::Test::HasFailure()) {
+            return;
+          }
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ImmediateAndGraphReplay, KernelBodies,
